@@ -6,8 +6,7 @@ BENCHTIME ?= 1x
 BENCH ?= .
 # HOTPATH_BENCHTIME governs the hot-path kernel benchmarks only: 5x yields
 # five samples per arm, the minimum benchjson accepts for BENCH_hotpath.json
-# (single-iteration numbers are noise and the bench-select guard compares
-# the two Select arms from this artifact).
+# (single-iteration numbers are noise).
 HOTPATH_BENCHTIME ?= 5x
 # BENCH_HISTORY, when non-empty, makes each bench artifact also append a
 # timestamped JSONL line to this trajectory file (scripts/bench_append.sh
@@ -67,13 +66,14 @@ bench-hotpath:
 	$(GO) test -bench '^Benchmark(Select|Fit|CrossValidate)$$' -benchmem -benchtime $(HOTPATH_BENCHTIME) -run '^$$' . | tee bench_hotpath.out
 	$(GO) run ./cmd/benchjson -in bench_hotpath.out -out BENCH_hotpath.json -min-iters 5 $(BENCH_APPEND)
 
-# bench-select is the selection-regression guard (CI-gated): re-check the
-# committed BENCH_hotpath.json and fail if the parallel-packed Select arm is
-# not strictly faster than the serial-dense baseline, or if either arm was
-# recorded from fewer than 5 iterations.
+# bench-select is the selection-regression guard (CI-gated): run the Select
+# benchmark fresh on the code under test and fail if the parallel-packed arm
+# is not strictly faster than the serial-dense baseline, or if either arm ran
+# fewer than 5 iterations. The report itself is discarded.
 bench-select:
-	$(GO) run ./cmd/benchjson -injson BENCH_hotpath.json -min-iters 5 \
-		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
+	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' . | \
+		$(GO) run ./cmd/benchjson -min-iters 5 \
+		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense' -out /dev/null
 
 # bench-history is `make bench` plus the timestamped trajectory: every run
 # appends one JSONL line per artifact to BENCH_history.jsonl (see

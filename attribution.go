@@ -131,7 +131,7 @@ func (r *RawScorer) Attribution(k int) (fired []int, attr []Contribution, err er
 		return nil, nil, fmt.Errorf("perspectron: attribution needs a detector")
 	}
 	if r.detBits == nil {
-		return nil, nil, fmt.Errorf("perspectron: attribution before any Detect call")
+		return nil, nil, fmt.Errorf("perspectron: attribution before any scored sample")
 	}
 	fired = appendSetBits(nil, r.detBits)
 	_, attr, err = r.det.AttributeFired(fired, k)
@@ -142,25 +142,9 @@ func (r *RawScorer) Attribution(k int) (fired []int, attr []Contribution, err er
 }
 
 // Attribution explains the verdict most recently returned by Next: the
-// detector-fired slot set and top-k contributions for that sample's raw
-// vector, consistent with the Verdict's Score. Errors before the first Next
-// or without a detector.
+// detector-fired slot set and top-k contributions for that sample,
+// consistent with the Verdict's Score. Errors before the first Next or
+// without a detector.
 func (s *Session) Attribution(k int) (fired []int, attr []Contribution, err error) {
-	if s.det == nil {
-		return nil, nil, fmt.Errorf("perspectron: attribution needs a detector")
-	}
-	if s.lastRaw == nil {
-		return nil, nil, fmt.Errorf("perspectron: attribution before any Next call")
-	}
-	bits, _ := s.det.encoding().Bits(s.lastRaw, s.detIdx, s.lastPoint, nil)
-	for slot, f := range bits {
-		if f {
-			fired = append(fired, slot)
-		}
-	}
-	_, attr, err = s.det.AttributeFired(fired, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fired, attr, nil
+	return s.scorer.Attribution(k)
 }

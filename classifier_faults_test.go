@@ -13,34 +13,39 @@ import (
 )
 
 // maskedClassifier returns a fixed synthetic classifier for unit-level
-// scoring checks.
-func maskedClassifier() *Classifier {
-	return &Classifier{
+// scoring checks, and a per-class scoring function over the identity
+// counter mapping that returns a fresh copy of every class margin.
+func maskedClassifier() (*Classifier, func(raw []float64) ([]float64, int)) {
+	c := &Classifier{
 		Classes:      []string{"benign", "x"},
 		FeatureNames: []string{"a", "b"},
 		Weights:      [][]float64{{0.5, -0.5}, {-0.5, 0.5}},
 		Biases:       []float64{0, 0},
 		GlobalMax:    []float64{10, 10},
-		indices:      []int{0, 1},
+	}
+	scorer := newRawScorer(nil, c, nil, []int{0, 1})
+	return c, func(raw []float64) ([]float64, int) {
+		scores, avail := scorer.classMargins(RawSample{Raw: raw})
+		return append([]float64(nil), scores...), avail
 	}
 }
 
 func TestClassifierFaultMasking(t *testing.T) {
-	c := maskedClassifier()
+	c, classScores := maskedClassifier()
 
 	// Baseline: both counters healthy, both bits fire.
-	full, avail := c.classScores([]float64{9, 9})
+	full, avail := classScores([]float64{9, 9})
 	if avail != 2 {
 		t.Fatalf("healthy avail = %d, want 2", avail)
 	}
 
 	// A saturated counter (+Inf, the fault sentinel) must be masked, not
 	// fired: the score equals the one-feature run, not the two-feature one.
-	masked, avail := c.classScores([]float64{9, math.Inf(1)})
+	masked, avail := classScores([]float64{9, math.Inf(1)})
 	if avail != 1 {
 		t.Fatalf("Inf avail = %d, want 1 (masked)", avail)
 	}
-	oneBit, _ := c.classScores([]float64{9, 0})
+	oneBit, _ := classScores([]float64{9, 0})
 	for ci := range c.Classes {
 		if masked[ci] != oneBit[ci] {
 			t.Errorf("class %s: Inf-masked score %v != one-feature score %v",
@@ -53,7 +58,7 @@ func TestClassifierFaultMasking(t *testing.T) {
 	}
 
 	// NaN likewise.
-	if _, avail := c.classScores([]float64{math.NaN(), 9}); avail != 1 {
+	if _, avail := classScores([]float64{math.NaN(), 9}); avail != 1 {
 		t.Fatalf("NaN avail = %d, want 1 (masked)", avail)
 	}
 

@@ -6,7 +6,8 @@
 //
 //	go test -bench . -benchmem | benchjson -out BENCH.json
 //	benchjson -in bench.out -out BENCH.json -min-iters 5
-//	benchjson -injson BENCH.json -require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
+//	go test -bench '^BenchmarkSelect$' -benchtime 5x -run '^$' . |
+//	    benchjson -min-iters 5 -require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense' -out /dev/null
 //
 // Each benchmark result line
 //
@@ -18,8 +19,8 @@
 // warns about them and refuses them outright under -min-iters. The
 // -require-faster flag (repeatable via comma separation) turns the report
 // into a trajectory gate: 'A<B' fails the run unless benchmark A's ns/op is
-// strictly below B's. With -injson an existing report is re-checked without
-// re-running the benchmarks, which is how `make bench-select` gates CI.
+// strictly below B's. `make bench-select` gates CI this way on a fresh run
+// of the Select benchmark piped straight in.
 package main
 
 import (
@@ -56,33 +57,24 @@ type Report struct {
 
 func main() {
 	in := flag.String("in", "-", "benchmark text input file (- for stdin)")
-	inJSON := flag.String("injson", "", "existing benchjson report to re-check (guards only, no output written)")
 	out := flag.String("out", "-", "JSON output file (- for stdout)")
 	appendTo := flag.String("append", "", "also append the report as one timestamped JSONL line to this history file")
 	minIters := flag.Int64("min-iters", 0, "fail if any benchmark ran fewer iterations (0: warn on 1-iteration entries only)")
 	faster := flag.String("require-faster", "", "comma-separated 'A<B' pairs; fail unless ns/op of A is strictly below B")
 	flag.Parse()
 
-	var rep *Report
-	if *inJSON != "" {
-		var err error
-		if rep, err = loadReport(*inJSON); err != nil {
+	var r io.Reader = os.Stdin
+	if *in != "-" {
+		f, err := os.Open(*in)
+		if err != nil {
 			fatal(err)
 		}
-	} else {
-		var r io.Reader = os.Stdin
-		if *in != "-" {
-			f, err := os.Open(*in)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			r = f
-		}
-		var err error
-		if rep, err = parse(r); err != nil {
-			fatal(err)
-		}
+		defer f.Close()
+		r = f
+	}
+	rep, err := parse(r)
+	if err != nil {
+		fatal(err)
 	}
 
 	if err := checkIterations(rep, *minIters); err != nil {
@@ -90,12 +82,6 @@ func main() {
 	}
 	if err := checkFaster(rep, *faster); err != nil {
 		fatal(err)
-	}
-
-	if *inJSON != "" {
-		// Guard-only mode: the report already exists on disk; just say so.
-		fmt.Fprintf(os.Stderr, "benchjson: %s ok (%d benchmarks)\n", *inJSON, len(rep.Benchmarks))
-		return
 	}
 
 	var w io.Writer = os.Stdout
@@ -121,19 +107,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: appended run to %s\n", *appendTo)
 	}
-}
-
-// loadReport reads a previously emitted report back for guard re-checks.
-func loadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{}
-	if err := json.Unmarshal(data, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }
 
 // checkIterations enforces the minimum iteration count. Single-iteration

@@ -2,7 +2,8 @@ package perspectron
 
 // Equivalence pins: golden values captured from the pre-refactor scoring and
 // encoding implementations (the three divergent normalize/binarize copies),
-// asserted against the unified internal/encoding path. Any drift in the
+// asserted against the unified internal/encoding path and the packed
+// RawScorer every scoring entry point now runs through. Any drift in the
 // shared Scale/Binarize/Margin math — or in deterministic trace collection —
 // fails these tests bit-for-bit.
 //
@@ -53,8 +54,8 @@ func TestDetectorScoreEquivalence(t *testing.T) {
 			{10, 4, 0, 0},
 			{2, 5, 1, 8},
 		},
-		indices: []int{0, 2, 3, 5},
 	}
+	scorer := newRawScorer(det, nil, []int{0, 2, 3, 5}, nil)
 	raws := [][]float64{
 		{9, 1, 1, 0, 7, 4},
 		{1, 0, 4.9, 9, 0, 4.0},
@@ -78,9 +79,10 @@ func TestDetectorScoreEquivalence(t *testing.T) {
 	}
 	for pi := -1; pi < 3; pi++ {
 		for ri, raw := range raws {
-			score, avail := det.scoreSample(raw, pi)
-			if score != goldenScore[pi+1][ri] || avail != goldenAvail[pi+1][ri] {
-				t.Errorf("scoreSample(raw %d, point %d) = (%v, %d), golden (%v, %d)",
+			score, _, coverage := scorer.Detect(RawSample{Sample: pi, Raw: raw})
+			avail := coverage * float64(len(det.FeatureNames))
+			if score != goldenScore[pi+1][ri] || avail != float64(goldenAvail[pi+1][ri]) {
+				t.Errorf("Detect(raw %d, point %d) = (%v, %v avail), golden (%v, %d)",
 					ri, pi, score, avail, goldenScore[pi+1][ri], goldenAvail[pi+1][ri])
 			}
 		}
@@ -94,8 +96,8 @@ func TestClassifierScoreEquivalence(t *testing.T) {
 		Weights:      [][]float64{{0.5, -0.2, 0.1}, {-0.4, 0.9, 0.2}, {0.3, 0.3, -0.6}},
 		Biases:       []float64{0.1, -0.3, 0.05},
 		GlobalMax:    []float64{10, 0, 4},
-		indices:      []int{0, 1, 2},
 	}
+	scorer := newRawScorer(nil, c, nil, []int{0, 1, 2})
 	craws := [][]float64{
 		{9, 1, 2},
 		{4, 0, 3.9},
@@ -109,10 +111,10 @@ func TestClassifierScoreEquivalence(t *testing.T) {
 		{1, -0.19999999999999996, -0.846153846153846},
 	}
 	for ri, raw := range craws {
-		scores, _ := c.classScores(raw)
+		scores, _ := scorer.classMargins(RawSample{Raw: raw})
 		for ci, s := range scores {
 			if s != golden[ri][ci] {
-				t.Errorf("classScores(raw %d)[%s] = %v, golden %v",
+				t.Errorf("classMargins(raw %d)[%s] = %v, golden %v",
 					ri, c.Classes[ci], s, golden[ri][ci])
 			}
 		}

@@ -71,6 +71,12 @@ func QuickConfig() Config {
 // for the §VI-B channel pairing) and the benign kernels. The evasion
 // experiments (Figs. 3–4) train on this corpus so no evasion variant is
 // ever seen in training.
+//
+// It is also the dataset behind the headline accuracy numbers:
+// bandwidth-reduced and polymorphic variants are evaluated separately
+// (Table IV's FN columns, Figs. 3–4) because their quiet filler intervals
+// make sample-level labels ambiguous — the paper likewise reports them as
+// pre/post-leakage coverage, not accuracy.
 func CoreCorpus() []workload.Program {
 	progs := append([]workload.Program{}, benign.All()...)
 	progs = append(progs, attacks.TrainingSet()...)
@@ -80,13 +86,6 @@ func CoreCorpus() []workload.Program {
 	return progs
 }
 
-// BaseCorpus returns the dataset used for the headline accuracy numbers.
-// It equals the core corpus: bandwidth-reduced and polymorphic variants are
-// evaluated separately (Table IV's FN columns, Figs. 3–4) because their
-// quiet filler intervals make sample-level labels ambiguous — the paper
-// likewise reports them as pre/post-leakage coverage, not accuracy.
-func BaseCorpus() []workload.Program { return CoreCorpus() }
-
 // collect fetches (progs, cfg)'s dataset through the artifact store: a
 // corpus any experiment in this process already collected — at any config —
 // is served from memory (or the on-disk cache) instead of re-simulated.
@@ -94,8 +93,8 @@ func collect(progs []workload.Program, cfg Config) *trace.Dataset {
 	return cfg.store().Dataset(progs, cfg.CollectConfig())
 }
 
-// BaseDataset collects the base corpus at cfg's granularity.
-func BaseDataset(cfg Config) *trace.Dataset { return collect(BaseCorpus(), cfg) }
+// BaseDataset collects the core corpus at cfg's granularity.
+func BaseDataset(cfg Config) *trace.Dataset { return collect(CoreCorpus(), cfg) }
 
 // Prepared bundles a dataset with its encoder and PerSpectron selection —
 // the shared front half of most experiments. It is the corpus store's
@@ -103,16 +102,9 @@ func BaseDataset(cfg Config) *trace.Dataset { return collect(BaseCorpus(), cfg) 
 // config) receives the identical bundle.
 type Prepared = corpus.Prepared
 
-// Prepare returns the base dataset with its encoder and feature selection,
+// Prepare returns the core dataset with its encoder and feature selection,
 // computed at most once per (corpus, config) via the artifact store.
 func Prepare(cfg Config) *Prepared {
-	_, span := telemetry.StartSpan(context.Background(), "prepare")
-	defer span.End()
-	return cfg.store().Prepared(BaseCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
-}
-
-// PrepareCore is Prepare over the evasion-free core corpus.
-func PrepareCore(cfg Config) *Prepared {
 	_, span := telemetry.StartSpan(context.Background(), "prepare")
 	defer span.End()
 	return cfg.store().Prepared(CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())

@@ -42,7 +42,7 @@ func trainPerSpectron(p *Prepared, threshold float64) *modelScorer {
 // Fig3 trains PerSpectron on the core corpus (which contains no polymorphic
 // variants) and monitors each variant.
 func Fig3(cfg Config) *Fig3Result {
-	p := PrepareCore(cfg)
+	p := Prepare(cfg)
 	sc := trainPerSpectron(p, 0.25)
 	runs := collectRuns(attacks.AllPolymorphic("fr"), cfg)
 

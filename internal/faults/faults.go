@@ -242,13 +242,6 @@ func (s *Schedule) ApplyOne(index int, vec []float64) {
 	}
 }
 
-// Apply injects faults into a whole run's sampled vectors in place.
-func (s *Schedule) Apply(vecs [][]float64) {
-	for i, v := range vecs {
-		s.ApplyOne(i, v)
-	}
-}
-
 // Attach installs the schedule as m's sample filter, so every vector the
 // machine samples (including what OnSample hooks observe) passes through
 // the fault models before anything downstream sees it.

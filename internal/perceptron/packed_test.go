@@ -160,7 +160,7 @@ func TestFitPackedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScorePackedBitIdentical: packed scoring (float and quantized) must
+// TestScorePackedBitIdentical: the packed training step's forward pass must
 // match the dense path bit for bit on random 0/1 inputs.
 func TestScorePackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
@@ -171,7 +171,6 @@ func TestScorePackedBitIdentical(t *testing.T) {
 			p.W[j] = r.NormFloat64()
 		}
 		p.Bias = r.NormFloat64()
-		q := p.Quantized()
 		x := make([]float64, f)
 		for j := range x {
 			if r.Intn(3) == 0 {
@@ -179,23 +178,10 @@ func TestScorePackedBitIdentical(t *testing.T) {
 			}
 		}
 		xp := encoding.Pack(x)
-		if got, want := p.RawPacked(xp), p.Raw(x); got != want {
-			t.Fatalf("RawPacked = %v, Raw = %v", got, want)
-		}
-		if got, want := p.ScorePacked(xp), p.Score(x); got != want {
-			t.Fatalf("ScorePacked = %v, Score = %v", got, want)
-		}
-		if got, want := p.PredictPacked(xp), p.Predict(x); got != want {
-			t.Fatalf("PredictPacked = %v, Predict = %v", got, want)
-		}
-		if got, want := q.RawPacked(xp), q.Raw(x); got != want {
-			t.Fatalf("Quantized.RawPacked = %v, Raw = %v", got, want)
-		}
-		if got, want := q.ScorePacked(xp), q.Score(x); got != want {
-			t.Fatalf("Quantized.ScorePacked = %v, Score = %v", got, want)
-		}
-		if got, want := q.PredictPacked(xp), q.Predict(x); got != want {
-			t.Fatalf("Quantized.PredictPacked = %v, Predict = %v", got, want)
+		raw, norm := p.rawNormPacked(xp)
+		wantRaw, wantNorm := p.rawNorm(x)
+		if raw != wantRaw || norm != wantNorm {
+			t.Fatalf("rawNormPacked = (%v, %v), rawNorm = (%v, %v)", raw, norm, wantRaw, wantNorm)
 		}
 	}
 }

@@ -87,9 +87,6 @@ func (c *Counter) Name() string { return c.name }
 // Component returns the pipeline component this counter belongs to.
 func (c *Counter) Component() Component { return c.component }
 
-// Desc returns the human-readable description.
-func (c *Counter) Desc() string { return c.desc }
-
 // Index returns the counter's stable position in registry order; sample
 // vectors use this index.
 func (c *Counter) Index() int { return c.idx }

@@ -122,12 +122,6 @@ type CollectConfig struct {
 // almost immediately while correlated failures still spread out.
 var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2, Jitter: 0.5}
 
-// DefaultCollectConfig mirrors the paper's densest setting at a laptop-
-// friendly run length.
-func DefaultCollectConfig() CollectConfig {
-	return CollectConfig{MaxInsts: 200_000, Interval: 10_000, Seed: 1, Runs: 2}
-}
-
 // Collect runs every program on a fresh machine per run and gathers the
 // sampled counter deltas. Collection is deterministic for a fixed config
 // (per-run seeds are derived from cfg.Seed) and parallel across runs.

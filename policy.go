@@ -120,15 +120,11 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 		return nil, fmt.Errorf("perspectron: nil policy")
 	}
 	m := sim.NewMachine(sim.DefaultConfig())
-	if _, err := d.resolve(m); err != nil {
+	scorer, err := resolveScorer(d, nil, m)
+	if err != nil {
 		return nil, err
 	}
-
-	info := w.Info()
-	rep := &MitigatedReport{}
-	rep.Workload = info.Name
-	rep.Malicious = info.Label == workload.Malicious
-	rep.FirstFlag = -1
+	rep := &MitigatedReport{Report: newReport(w)}
 
 	var active []Mitigation
 	apply := func(ms []Mitigation) {
@@ -145,24 +141,12 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 		m.InjectBPNoise(noise)
 	}
 
-	nf := len(d.FeatureNames)
-	coverageSum := 0.0
+	// The policy must change the machine between intervals, so scoring runs
+	// synchronously in the sample hook rather than through a Session, whose
+	// producer goroutine runs one interval ahead.
 	m.OnSample = func(idx int, delta []float64) {
-		score, avail := d.scoreSample(delta, idx)
-		if nf > 0 {
-			coverageSum += float64(avail) / float64(nf)
-		}
-		flagged := score >= d.Threshold
-		rep.Samples = append(rep.Samples, SamplePoint{
-			Index:   idx,
-			Insts:   uint64(idx+1) * d.Interval,
-			Score:   score,
-			Flagged: flagged,
-		})
-		if flagged && rep.FirstFlag < 0 {
-			rep.FirstFlag = idx
-			rep.Detected = true
-		}
+		score, flagged, coverage := scorer.Detect(RawSample{Sample: idx, Raw: delta})
+		rep.record(idx, d.Interval, score, flagged, coverage)
 		next := policy(score, active)
 		for _, mit := range next {
 			if mit == MitigateRekey {
@@ -186,18 +170,10 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 	if c, ok := m.Reg.Lookup("dcache.rekeys"); ok {
 		rep.Rekeys = c.Value()
 	}
+	var leakMarks []uint64
 	if ls, ok := stream.(*workload.LoopStream); ok {
-		for _, mark := range ls.LeakMarks() {
-			rep.LeakSamples = append(rep.LeakSamples, int(mark/d.Interval))
-		}
+		leakMarks = ls.LeakMarks()
 	}
-	rep.Coverage = 1
-	if n := len(rep.Samples); n > 0 && nf > 0 {
-		rep.Coverage = coverageSum / float64(n)
-	}
-	rep.Degraded = rep.Coverage < 1-1e-12
-	if len(rep.LeakSamples) > 0 {
-		rep.LeakBefore = rep.FirstFlag < 0 || rep.LeakSamples[0] < rep.FirstFlag
-	}
+	rep.finish(d.Interval, scorer.detIdx, leakMarks)
 	return rep, nil
 }

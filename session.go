@@ -1,14 +1,14 @@
 package perspectron
 
-// Streaming scoring sessions: the serving runtime's unit of work. Monitor
-// and Classify own their whole run loop; a Session hands control back after
+// Streaming scoring sessions: the serving runtime's unit of work, and the
+// loop Monitor and Classify fold over. A Session hands control back after
 // every sampling interval, so a long-running service (internal/serve) can
 // apply per-sample deadlines, walk the degradation ladder mid-run, and shut
-// down promptly. Sessions carry their own resolved counter indices — the
-// Detector/Classifier they score with is never mutated — so any number of
-// concurrent Sessions can share one immutable model, and a hot-reload can
-// swap the model under new Sessions while old ones finish on the previous
-// version.
+// down promptly. Each Session scores through its own RawScorer, resolved
+// once against the machine it runs — the Detector/Classifier it scores with
+// is never mutated — so any number of concurrent Sessions can share one
+// immutable model, and a hot-reload can swap the model under new Sessions
+// while old ones finish on the previous version.
 
 import (
 	"context"
@@ -17,24 +17,6 @@ import (
 	"perspectron/internal/sim"
 	"perspectron/internal/trace"
 )
-
-// resolveNames maps feature names onto counter indices for machine m without
-// touching any model state: counters absent from the machine resolve to -1
-// and are masked during scoring. It is the pure core of Detector.resolve and
-// Classifier.resolve, shared with Session so scoring stays lock-free under
-// concurrency.
-func resolveNames(names []string, m *sim.Machine) (indices []int, resolved int) {
-	indices = make([]int, len(names))
-	for i, name := range names {
-		if c, ok := m.Reg.Lookup(name); ok {
-			indices[i] = c.Index()
-			resolved++
-		} else {
-			indices[i] = -1
-		}
-	}
-	return indices, resolved
-}
 
 // SessionConfig configures one streaming scoring session.
 type SessionConfig struct {
@@ -74,20 +56,9 @@ type Verdict struct {
 // with Next, and Close when done (Close is mandatory on early abandonment —
 // it releases the producer goroutine).
 type Session struct {
-	det    *Detector
-	cls    *Classifier
-	detIdx []int
-	clsIdx []int
-	src    *trace.RunSource
-	m      *sim.Machine
-
+	scorer   *RawScorer // resolved against this session's machine
+	src      *trace.RunSource
 	interval uint64
-	nf       int // primary model's feature width, for Coverage
-
-	// lastRaw/lastPoint hold the most recent Next sample so Attribution can
-	// explain the verdict after the fact without re-running the interval.
-	lastRaw   []float64
-	lastPoint int
 }
 
 // NewSession starts a streaming session for cfg.Workload. Either model may
@@ -96,35 +67,13 @@ type Session struct {
 // ctx bounds the whole run (the producer observes it between instruction
 // blocks); per-sample deadlines go to Next instead.
 func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg SessionConfig) (*Session, error) {
-	if det == nil && cls == nil {
-		return nil, fmt.Errorf("perspectron: session needs a detector or a classifier")
-	}
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("perspectron: session needs a workload")
 	}
 	m := sim.NewMachine(sim.DefaultConfig())
-	s := &Session{det: det, cls: cls, m: m}
-	if det != nil {
-		idx, resolved := resolveNames(det.FeatureNames, m)
-		if resolved == 0 {
-			return nil, fmt.Errorf("perspectron: none of the detector's %d counters are present on this machine",
-				len(det.FeatureNames))
-		}
-		s.detIdx = idx
-		s.interval = det.Interval
-		s.nf = len(det.FeatureNames)
-	}
-	if cls != nil {
-		idx, resolved := resolveNames(cls.FeatureNames, m)
-		if resolved == 0 && det == nil {
-			return nil, fmt.Errorf("perspectron: none of the classifier's %d counters are present on this machine",
-				len(cls.FeatureNames))
-		}
-		s.clsIdx = idx
-		if s.interval == 0 {
-			s.interval = cls.Interval
-			s.nf = len(cls.FeatureNames)
-		}
+	scorer, err := resolveScorer(det, cls, m)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Faults != nil {
 		sched, err := cfg.Faults.schedule(m)
@@ -135,6 +84,12 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 			sched.Attach(m)
 		}
 	}
+	s := &Session{scorer: scorer}
+	if det != nil {
+		s.interval = det.Interval
+	} else {
+		s.interval = cls.Interval
+	}
 	s.src = trace.NewRunSource(ctx, m, cfg.Workload, 0, cfg.Seed,
 		trace.CollectConfig{MaxInsts: cfg.MaxInsts, Interval: s.interval})
 	return s, nil
@@ -144,37 +99,21 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 // or ctx expired first. Distinguish the two by ctx.Err(): nil means the run
 // genuinely ended (check Err for a workload panic). After a deadline the
 // session remains usable — the producer keeps the sample for a later Next.
+// Next is NextRaw scored by the session's RawScorer.
 func (s *Session) Next(ctx context.Context) (*Verdict, bool) {
-	smp, ok := s.src.NextCtx(ctx)
+	rs, ok := s.NextRaw(ctx)
 	if !ok {
 		return nil, false
 	}
-	s.lastRaw, s.lastPoint = smp.Raw, smp.Index
 	v := &Verdict{
-		Sample: smp.Index,
-		Insts:  uint64(smp.Index+1) * s.interval,
+		Sample: rs.Sample,
+		Insts:  uint64(rs.Sample+1) * s.interval,
 	}
-	if s.det != nil {
-		score, avail := s.det.scoreWith(smp.Raw, smp.Index, s.detIdx)
-		v.Score = score
-		v.Flagged = score >= s.det.Threshold
-		if s.nf > 0 {
-			v.Coverage = float64(avail) / float64(s.nf)
-		}
-	}
-	if s.cls != nil {
-		scores, avail := s.cls.classScoresWith(smp.Raw, s.clsIdx)
-		best := 0
-		for i := 1; i < len(scores); i++ {
-			if scores[i] > scores[best] {
-				best = i
-			}
-		}
-		v.Class = s.cls.Classes[best]
-		v.ClassScore = scores[best]
-		if s.det == nil && s.nf > 0 {
-			v.Coverage = float64(avail) / float64(s.nf)
-		}
+	v.Score, v.Flagged, v.Coverage = s.scorer.Detect(rs)
+	var clsCoverage float64
+	v.Class, v.ClassScore, clsCoverage = s.scorer.Classify(rs)
+	if s.scorer.det == nil {
+		v.Coverage = clsCoverage
 	}
 	return v, true
 }

@@ -90,8 +90,9 @@ func TestSessionWithClassifier(t *testing.T) {
 
 // TestSessionsShareModelConcurrently is the thread-safety contract behind
 // the serving runtime: many sessions score against ONE detector and ONE
-// classifier simultaneously. Run under -race this proves scoreWith /
-// classScoresWith never write shared model state.
+// classifier simultaneously. Run under -race this proves scoring never
+// writes shared model state: each session's RawScorer owns its indices and
+// scratch.
 func TestSessionsShareModelConcurrently(t *testing.T) {
 	det := sharedDetector(t)
 	cls := sharedClassifier(t)
