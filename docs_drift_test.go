@@ -9,13 +9,23 @@ package perspectron
 // `|`-prefixed table rows only, so examples in shell snippets don't count
 // either. Add the series to the catalogue when you add the instrument;
 // delete the row when you delete it.
+//
+// The same guard covers bench artifacts: every BenchmarkX/arm named in a
+// docs/PERFORMANCE.md table row or in the committed BENCH_hotpath.json must
+// still exist as a func BenchmarkX in some _test.go file of this module,
+// with a Run("arm", ...) call in its body.
 
 import (
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -95,5 +105,133 @@ func TestMetricCatalogueMatchesCode(t *testing.T) {
 	sort.Strings(stale)
 	for _, s := range stale {
 		t.Errorf("docs/OBSERVABILITY.md catalogues %s but no non-test code registers it", s)
+	}
+}
+
+var docBenchRe = regexp.MustCompile(`Benchmark[A-Za-z0-9_]+(/[A-Za-z0-9_.=-]+)?`)
+
+// moduleBenchArms maps every Benchmark function declared in this module's
+// _test.go files to the set of string-literal names its body passes to Run.
+// Nested modules (directories with their own go.mod) are not part of this
+// module and are skipped.
+func moduleBenchArms(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	arms := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".corpus-cache", ".bench_build", "testdata":
+				return filepath.SkipDir
+			}
+			if path != "." {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				continue
+			}
+			runs := arms[fn.Name.Name]
+			if runs == nil {
+				runs = map[string]bool{}
+				arms[fn.Name.Name] = runs
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Run" {
+					return true
+				}
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if arm, err := strconv.Unquote(lit.Value); err == nil {
+						runs[arm] = true
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arms
+}
+
+func TestBenchNamesMatchCode(t *testing.T) {
+	arms := moduleBenchArms(t)
+	if len(arms) == 0 {
+		t.Fatal("no Benchmark functions found in _test.go files — the scanner is broken")
+	}
+
+	named := map[string][]string{} // BenchmarkX[/arm] -> where it is named
+	docBytes, err := os.ReadFile("docs/PERFORMANCE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(docBytes), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "|") {
+			continue
+		}
+		for _, m := range docBenchRe.FindAllString(line, -1) {
+			named[m] = append(named[m], "docs/PERFORMANCE.md")
+		}
+	}
+	if len(named) == 0 {
+		t.Fatal("no Benchmark rows found in docs/PERFORMANCE.md tables — the extractor is broken")
+	}
+
+	artBytes, err := os.ReadFile("BENCH_hotpath.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art struct {
+		Benchmarks []struct {
+			Name string `json:"name"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(artBytes, &art); err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Benchmarks) == 0 {
+		t.Fatal("BENCH_hotpath.json lists no benchmarks")
+	}
+	for _, b := range art.Benchmarks {
+		named[b.Name] = append(named[b.Name], "BENCH_hotpath.json")
+	}
+
+	var names []string
+	for n := range named {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		where := strings.Join(named[n], " and ")
+		fn, arm, hasArm := strings.Cut(n, "/")
+		runs, ok := arms[fn]
+		switch {
+		case !ok:
+			t.Errorf("%s names %s, but no _test.go file declares func %s", where, n, fn)
+		case hasArm && !runs[arm]:
+			t.Errorf("%s names %s, but %s has no Run(%q, ...) call", where, n, fn, arm)
+		}
 	}
 }
