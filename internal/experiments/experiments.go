@@ -93,9 +93,6 @@ func collect(progs []workload.Program, cfg Config) *trace.Dataset {
 	return cfg.store().Dataset(progs, cfg.CollectConfig())
 }
 
-// BaseDataset collects the core corpus at cfg's granularity.
-func BaseDataset(cfg Config) *trace.Dataset { return collect(CoreCorpus(), cfg) }
-
 // Prepared bundles a dataset with its encoder and PerSpectron selection —
 // the shared front half of most experiments. It is the corpus store's
 // memoized artifact type: every experiment asking for the same (corpus,
