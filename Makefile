@@ -24,8 +24,12 @@ ci: vet build race
 vet:
 	$(GO) vet ./...
 
+# build also compiles and vets perfbench/, a module of its own that the
+# root `go build ./...` never reaches, so an API change that breaks the
+# benchmark harness fails here. Its binary is discarded.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -62,8 +66,9 @@ bench: bench-hotpath
 
 # bench-hotpath regenerates BENCH_hotpath.json with enough samples per arm
 # (-min-iters 5) that the artifact is trustworthy enough to gate on.
+# BenchmarkSelect lives with its reference kernels in internal/features.
 bench-hotpath:
-	$(GO) test -bench '^Benchmark(Select|Fit|CrossValidate)$$' -benchmem -benchtime $(HOTPATH_BENCHTIME) -run '^$$' . | tee bench_hotpath.out
+	$(GO) test -bench '^Benchmark(Select|Fit|CrossValidate)$$' -benchmem -benchtime $(HOTPATH_BENCHTIME) -run '^$$' . ./internal/features | tee bench_hotpath.out
 	$(GO) run ./cmd/benchjson -in bench_hotpath.out -out BENCH_hotpath.json -min-iters 5 $(BENCH_APPEND)
 
 # bench-select is the selection-regression guard (CI-gated): run the Select
@@ -71,7 +76,7 @@ bench-hotpath:
 # is not strictly faster than the serial-dense baseline, or if either arm ran
 # fewer than 5 iterations. The report itself is discarded.
 bench-select:
-	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' . | \
+	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' ./internal/features | \
 		$(GO) run ./cmd/benchjson -min-iters 5 \
 		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense' -out /dev/null
 

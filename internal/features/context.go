@@ -2,15 +2,16 @@
 //
 // Profiling Select on the quick corpus (330×786 scaled matrix) showed the
 // pair sweep's per-pair dense Pearson at >90% of wall time, with the
-// remainder spent re-deriving shared state per kernel: MutualInformation,
-// ClassCorrelation and CorrelationGroups each re-scanned the full O(n·f)
-// matrix (binary detection, moments) and re-packed every column. selCtx
-// computes each shared pass exactly once per Select call:
+// remainder spent re-deriving shared state per kernel: the historical
+// mutual-information, class-correlation and correlation-group kernels each
+// re-scanned the full O(n·f) matrix (binary detection, moments) and
+// re-packed every column. selCtx computes each shared pass exactly once per
+// Select call:
 //
 //   - one binary/±1-label classification scan;
-//   - one word-tiled PackMatrix (at encoding.BinarizeThreshold — for
-//     exactly-0/1 input that packing is bit-equal to the legacy thr=1
-//     packing, so a single PackedMatrix feeds all three kernels);
+//   - one word-tiled packing (at encoding.BinarizeThreshold — for
+//     exactly-0/1 input that packing is bit-equal to the historical thr=1
+//     packing, so a single packedMatrix feeds all three kernels);
 //   - one moments pass, one centered column-major transpose and one
 //     suffix-norm pass (dense input only, and only for the pair sweep).
 //
@@ -23,8 +24,8 @@
 // bound is applied with a slack factor far above float rounding, so a pair
 // is pruned only when its full correlation is provably below threshold;
 // every surviving pair computes the complete ascending-index sum and takes
-// the decision through arithmetic identical to the legacy Pearson, keeping
-// the partition bit-identical to the per-pair reference.
+// the decision through arithmetic identical to the per-pair reference
+// Pearson, keeping the partition bit-identical to it.
 //
 // All large intermediates (packed words, centered columns, suffix norms,
 // edge slots) come from a reusable scratch bundle, so repeated Select
@@ -43,18 +44,18 @@ import (
 // One bundle is parked in scratchFree between calls; concurrent selections
 // simply allocate a fresh bundle on miss.
 type selScratch struct {
-	words    []uint64           // flat packed-column backing
-	packBuf  []uint64           // per-word-tile accumulator (f words)
-	cols     []encoding.BitVec  // packed column headers
-	ones     []int              // packed column popcounts
-	mean     []float64          // moments
-	std      []float64          // moments
-	active   []int              // non-zero-variance column indices
-	centBack []float64          // flat centered-column backing (active only)
-	centCols [][]float64        // centered column headers
-	suf      []float64          // flat suffix-norm backing (active only)
-	yc       []float64          // centered labels
-	edges    [][]int32          // per-work-item edge slots
+	words    []uint64          // flat packed-column backing
+	packBuf  []uint64          // per-word-tile accumulator (f words)
+	cols     []encoding.BitVec // packed column headers
+	ones     []int             // packed column popcounts
+	mean     []float64         // moments
+	std      []float64         // moments
+	active   []int             // non-zero-variance column indices
+	centBack []float64         // flat centered-column backing (active only)
+	centCols [][]float64       // centered column headers
+	suf      []float64         // flat suffix-norm backing (active only)
+	yc       []float64         // centered labels
+	edges    [][]int32         // per-work-item edge slots
 }
 
 var scratchFree atomic.Pointer[selScratch]
@@ -87,23 +88,29 @@ func growInt(buf []int, n int) []int {
 	return buf[:n]
 }
 
+// colMoments holds per-feature mean and standard deviation over a sample
+// set.
+type colMoments struct {
+	Mean, Std []float64
+}
+
 // selCtx is the per-call selection context: the classification of the
 // input plus every shared intermediate, each computed at most once.
 // Contexts are single-goroutine (internal kernels fan out, but the context
 // itself is not shared) and must not be used after release.
 type selCtx struct {
-	X [][]float64
-	y []float64
+	X    [][]float64
+	y    []float64
 	n, f int
 
 	binary bool // every entry exactly 0 or 1
 	signY  bool // every label exactly ±1
 
 	s  *selScratch
-	pm PackedMatrix // columns packed at encoding.BinarizeThreshold
+	pm packedMatrix // columns packed at encoding.BinarizeThreshold
 
 	haveMoments bool
-	m           Moments
+	m           colMoments
 
 	haveActive bool
 	active     []int
@@ -114,12 +121,16 @@ type selCtx struct {
 	ntiles   int
 }
 
-// newSelCtx classifies X/y once and packs the matrix once. Callers have
-// already excluded empty input.
+// newSelCtx classifies X/y once and packs the matrix once. A matrix with no
+// rows is treated as having no columns.
 func newSelCtx(X [][]float64, y []float64) *selCtx {
+	f := 0
+	if len(X) > 0 {
+		f = len(X[0])
+	}
 	sc := &selCtx{
 		X: X, y: y,
-		n: len(X), f: len(X[0]),
+		n: len(X), f: f,
 		binary: isBinaryMatrix(X),
 		signY:  isSignLabels(y),
 		s:      getScratch(),
@@ -132,13 +143,13 @@ func newSelCtx(X [][]float64, y []float64) *selCtx {
 		sc.s.cols = make([]encoding.BitVec, sc.f)
 	}
 	sc.s.ones = growInt(sc.s.ones, sc.f)
-	sc.pm = PackedMatrix{N: sc.n, Cols: sc.s.cols[:sc.f], Ones: sc.s.ones}
+	sc.pm = packedMatrix{N: sc.n, Cols: sc.s.cols[:sc.f], Ones: sc.s.ones}
 	packMatrixInto(X, encoding.BinarizeThreshold, sc.s.words, sc.s.packBuf, &sc.pm)
 	return sc
 }
 
 // release parks the scratch bundle for the next selection. The context —
-// including its PackedMatrix and centered columns — is dead afterwards.
+// including its packedMatrix and centered columns — is dead afterwards.
 func (sc *selCtx) release() {
 	s := sc.s
 	sc.s = nil
@@ -146,8 +157,8 @@ func (sc *selCtx) release() {
 }
 
 // moments computes the column moments once, with arithmetic identical to
-// ComputeMoments.
-func (sc *selCtx) moments() Moments {
+// the reference ComputeMoments in oracle_test.go.
+func (sc *selCtx) moments() colMoments {
 	if sc.haveMoments {
 		return sc.m
 	}
@@ -173,7 +184,7 @@ func (sc *selCtx) moments() Moments {
 		std[j] = math.Sqrt(std[j] / float64(sc.n))
 	}
 	sc.s.mean, sc.s.std = mean, std
-	sc.m = Moments{Mean: mean, Std: std}
+	sc.m = colMoments{Mean: mean, Std: std}
 	sc.haveMoments = true
 	return sc.m
 }
@@ -279,7 +290,7 @@ const denseBlock = 64
 // denseEdges sweeps all active-column pairs for |Pearson| >= threshold over
 // the centered columns. Work items are column-block pairs (near-uniform
 // cost, cache-resident tiles); each pair accumulates the ascending-index
-// product sum — the exact float sequence the legacy per-pair Pearson
+// product sum — the exact float sequence the reference per-pair Pearson
 // produced — and bails at the first tile boundary where the suffix-norm
 // bound proves the threshold unreachable. Surviving pairs divide by the
 // identically-associated denominator (n·σa)·σb, so their edge decision is
@@ -364,19 +375,24 @@ func (sc *selCtx) denseEdges(threshold float64) [][]int32 {
 	return slots
 }
 
-// mutualInformation is MutualInformation off the shared packed columns —
-// bit-identical because the popcounts feed the same contingency integers
+// mutualInformation returns, per feature, the mutual information (in bits)
+// between the feature binarized at encoding.BinarizeThreshold and the
+// class, off the shared packed columns — bit-identical to the historical
+// dense row loop because the popcounts feed the same contingency integers
 // into the same arithmetic (miFromCounts).
 func (sc *selCtx) mutualInformation() []float64 {
-	return sc.pm.MutualInformation(sc.y)
+	return sc.pm.mutualInformation(sc.y)
 }
 
-// classCorrelation routes to the exact popcount kernel when the input
-// qualifies, and otherwise runs the dense kernel over the centered columns
-// (identical floats in identical order to the legacy row loop).
+// classCorrelation returns, per feature, the Pearson correlation with the
+// class labels (0 for zero-variance features or labels). It routes to the
+// exact popcount kernel when the input qualifies — mathematically equal to
+// the dense form, differing only in the rounding of intermediates — and
+// otherwise runs the dense kernel over the centered columns (identical
+// floats in identical order to the historical row loop).
 func (sc *selCtx) classCorrelation() []float64 {
 	if sc.binary && sc.signY {
-		return sc.pm.ClassCorrelation(sc.y)
+		return sc.pm.classCorrelation(sc.y)
 	}
 	m := sc.moments()
 	n := sc.n
@@ -413,8 +429,10 @@ func (sc *selCtx) classCorrelation() []float64 {
 	return out
 }
 
-// correlationGroups runs the pair sweep appropriate to the input class and
-// assembles the single-linkage partition.
+// correlationGroups clusters the features whose pairwise |Pearson| reaches
+// threshold, running the pair sweep appropriate to the input class, and
+// assembles the single-linkage partition (see assembleGroups for the
+// order).
 func (sc *selCtx) correlationGroups(threshold float64) []Group {
 	act := sc.activeSet()
 	var edges [][]int32

@@ -61,7 +61,8 @@ func TestPackMatrixMatchesPackColumn(t *testing.T) {
 			X, _ = randContinuous(r, n, f)
 		}
 		for _, thr := range []float64{encoding.BinarizeThreshold, 1} {
-			pm := PackMatrix(X, thr)
+			pm := packedMatrix{N: n, Cols: make([]encoding.BitVec, f), Ones: make([]int, f)}
+			packMatrixInto(X, thr, make([]uint64, f*((n+63)/64)), make([]uint64, f), &pm)
 			for j := 0; j < f; j++ {
 				ref := encoding.PackColumn(X, j, thr)
 				if !reflect.DeepEqual([]uint64(pm.Cols[j]), []uint64(ref)) {
@@ -76,23 +77,24 @@ func TestPackMatrixMatchesPackColumn(t *testing.T) {
 }
 
 // TestPackedMatrixKernelsBitIdentical: MI, class correlation and
-// correlation groups fed from one shared PackedMatrix must be bit-identical
+// correlation groups fed from one shared packedMatrix must be bit-identical
 // to the historical per-kernel paths on random 0/1 matrices.
 func TestPackedMatrixKernelsBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		n, f := 30+r.Intn(150), 5+r.Intn(30)
 		X, y := randBinary(r, n, f)
-		pm := PackMatrix(X, encoding.BinarizeThreshold)
+		sc := newSelCtx(X, y)
+		pm := &sc.pm
 
-		mi := pm.MutualInformation(y)
+		mi := pm.mutualInformation(y)
 		if want := legacyMutualInformation(X, y); !reflect.DeepEqual(mi, want) {
 			t.Fatalf("trial %d: packed-matrix MI differs from legacy", trial)
 		}
 		// Class correlation: exact against the integer-count loop reference;
 		// the legacy dense loop rounds intermediates differently, so (as in
 		// TestClassCorrelationPackedBitIdentical) it is a 1e-9 oracle.
-		cc := pm.ClassCorrelation(y)
+		cc := pm.classCorrelation(y)
 		dense := legacyClassCorrelation(X, y)
 		for j := 0; j < f; j++ {
 			if ref := countClassCorrRef(X, y, j); cc[j] != ref {
@@ -102,15 +104,16 @@ func TestPackedMatrixKernelsBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d col %d: packed-matrix cc %v vs dense %v", trial, j, cc[j], dense[j])
 			}
 		}
-		groups := pm.CorrelationGroups(y, 0.98)
+		groups := sc.correlationGroups(0.98)
+		sc.release()
 		if want := legacyCorrelationGroups(X, y, 0.98); !reflect.DeepEqual(groups, want) {
 			t.Fatalf("trial %d: packed-matrix groups %v != legacy %v", trial, groups, want)
 		}
 	}
 }
 
-// TestSelectionContextMatchesLegacy: the full selection-context path (the
-// default) must reproduce the legacy per-kernel path exactly — kernels and
+// TestSelectionContextMatchesLegacy: the selection-context path must
+// reproduce the legacy per-kernel path exactly — kernels and
 // complete Select output — on binary and continuous matrices. On continuous
 // input this pins the suffix-norm-pruned dense pair sweep to the per-pair
 // reference decision.
@@ -134,17 +137,17 @@ func TestSelectionContextMatchesLegacy(t *testing.T) {
 			X, y = randContinuous(r, n, f)
 		}
 
-		mi := MutualInformation(X, y)
-		cc := ClassCorrelation(X, y)
-		groups := CorrelationGroups(X, y, 0.98)
+		sc := newSelCtx(X, y)
+		mi := sc.mutualInformation()
+		cc := sc.classCorrelation()
+		groups := sc.correlationGroups(0.98)
+		sc.release()
 		sel := Select(X, y, comps(f), cfg)
 
-		SetForceDense(true)
-		wantMI := MutualInformation(X, y)
-		wantCC := ClassCorrelation(X, y)
-		wantGroups := CorrelationGroups(X, y, 0.98)
-		wantSel := Select(X, y, comps(f), cfg)
-		SetForceDense(false)
+		wantMI := legacyMutualInformation(X, y)
+		wantCC := legacyClassCorrelation(X, y)
+		wantGroups := legacyCorrelationGroups(X, y, 0.98)
+		wantSel := legacySelect(X, y, comps(f), cfg)
 
 		if !reflect.DeepEqual(mi, wantMI) {
 			t.Fatalf("trial %d: context MI differs from legacy", trial)
@@ -172,7 +175,7 @@ func TestSelectionContextMatchesLegacy(t *testing.T) {
 
 // TestSelectionContextZeroVariance: a matrix whose every column is constant
 // has no active features — no groups, zero class correlation — and Select
-// must come back empty without faulting, on both paths.
+// must come back empty without faulting, on the context and legacy paths.
 func TestSelectionContextZeroVariance(t *testing.T) {
 	n, f := 50, 12
 	X := make([][]float64, n)
@@ -188,22 +191,24 @@ func TestSelectionContextZeroVariance(t *testing.T) {
 	comps := make([]stats.Component, f)
 	cfg := DefaultSelectConfig()
 
-	for _, dense := range []bool{false, true} {
-		SetForceDense(dense)
-		if g := CorrelationGroups(X, y, 0.98); len(g) != 0 {
-			t.Fatalf("dense=%v: zero-variance matrix produced groups %v", dense, g)
+	check := func(path string, groups []Group, cc []float64, sel Selection) {
+		t.Helper()
+		if len(groups) != 0 {
+			t.Fatalf("%s: zero-variance matrix produced groups %v", path, groups)
 		}
-		cc := ClassCorrelation(X, y)
 		for j, v := range cc {
 			if v != 0 {
-				t.Fatalf("dense=%v: constant column %d has class correlation %v", dense, j, v)
+				t.Fatalf("%s: constant column %d has class correlation %v", path, j, v)
 			}
 		}
-		if sel := Select(X, y, comps, cfg); len(sel.Indices) != 0 {
-			t.Fatalf("dense=%v: zero-variance matrix selected %v", dense, sel.Indices)
+		if len(sel.Indices) != 0 {
+			t.Fatalf("%s: zero-variance matrix selected %v", path, sel.Indices)
 		}
 	}
-	SetForceDense(false)
+	sc := newSelCtx(X, y)
+	check("context", sc.correlationGroups(0.98), sc.classCorrelation(), Select(X, y, comps, cfg))
+	sc.release()
+	check("legacy", legacyCorrelationGroups(X, y, 0.98), legacyClassCorrelation(X, y), legacySelect(X, y, comps, cfg))
 }
 
 // TestGroupOrderSmallestMemberTieBreak: equal-size groups must order by
@@ -230,12 +235,15 @@ func TestGroupOrderSmallestMemberTieBreak(t *testing.T) {
 		row[5] = other
 		X[i] = row
 	}
-	for _, dense := range []bool{false, true} {
-		SetForceDense(dense)
-		groups := CorrelationGroups(X, y, 0.98)
-		SetForceDense(false)
+	sc := newSelCtx(X, y)
+	ctxGroups := sc.correlationGroups(0.98)
+	sc.release()
+	for path, groups := range map[string][]Group{
+		"context": ctxGroups,
+		"legacy":  legacyCorrelationGroups(X, y, 0.98),
+	} {
 		if len(groups) != 2 {
-			t.Fatalf("dense=%v: got %d groups %v, want 2", dense, len(groups), groups)
+			t.Fatalf("%s: got %d groups %v, want 2", path, len(groups), groups)
 		}
 		min0 := groups[0].Members[0]
 		for _, m := range groups[0].Members {
@@ -244,16 +252,16 @@ func TestGroupOrderSmallestMemberTieBreak(t *testing.T) {
 			}
 		}
 		if min0 != 0 {
-			t.Fatalf("dense=%v: first group %v does not contain the smallest member index 0: %v",
-				dense, groups[0].Members, groups)
+			t.Fatalf("%s: first group %v does not contain the smallest member index 0: %v",
+				path, groups[0].Members, groups)
 		}
 	}
 }
 
-// TestSelectConcurrentWithConfigChanges: selection running concurrently
-// with SetWorkers/SetForceDense flips must stay race-free (the knobs are
-// atomics) and every result must match one of the two valid paths — which
-// are bit-identical anyway.
+// TestSelectConcurrentWithConfigChanges: selection on the context and
+// legacy paths running concurrently with worker-count flips must stay
+// race-free (the count is an atomic) and every result must match — the
+// paths are bit-identical.
 func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	X, y := randBinary(r, 80, 16)
@@ -276,16 +284,19 @@ func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 			default:
 			}
 			SetWorkers(i % 4)
-			SetForceDense(i%2 == 0)
 		}
 	}()
 	var inner sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		sel := Select
+		if g%2 == 1 {
+			sel = legacySelect
+		}
 		inner.Add(1)
 		go func() {
 			defer inner.Done()
 			for iter := 0; iter < 8; iter++ {
-				if got := Select(X, y, comps, cfg); !reflect.DeepEqual(got, want) {
+				if got := sel(X, y, comps, cfg); !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent Select diverged: %v vs %v", got.Indices, want.Indices)
 					return
 				}
@@ -296,5 +307,4 @@ func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	SetWorkers(0)
-	SetForceDense(false)
 }

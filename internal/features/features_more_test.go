@@ -30,8 +30,10 @@ func TestQuickGroupThresholdMonotone(t *testing.T) {
 			X[i] = row
 		}
 		grouped := func(thr float64) int {
+			sc := newSelCtx(X, y)
+			defer sc.release()
 			total := 0
-			for _, g := range CorrelationGroups(X, y, thr) {
+			for _, g := range sc.correlationGroups(thr) {
 				total += len(g.Members)
 			}
 			return total

@@ -2,7 +2,7 @@
 //
 // The historical kernels each re-packed the matrix themselves — one
 // PackColumn per feature per kernel, each walking the row-major matrix with
-// a stride-f access pattern. PackMatrix does the whole conversion in one
+// a stride-f access pattern. packMatrixInto does the whole conversion in one
 // word-tiled pass: 64 rows at a time, scattering bits into an f-word
 // accumulator that stays cache-resident, then flushing one word per column.
 // Every downstream kernel (mutual information, class correlation, the
@@ -16,11 +16,11 @@ import (
 	"perspectron/internal/encoding"
 )
 
-// PackedMatrix is a column-major bit-packed view of a sample matrix: column
+// packedMatrix is a column-major bit-packed view of a sample matrix: column
 // j of the input becomes the BitVec Cols[j] (bit i set iff X[i][j] >= the
 // packing threshold), with its popcount cached in Ones[j]. All columns
 // share one flat word allocation.
-type PackedMatrix struct {
+type packedMatrix struct {
 	// N is the number of samples (rows) packed into each column.
 	N int
 	// Cols holds one packed column per feature.
@@ -29,30 +29,12 @@ type PackedMatrix struct {
 	Ones []int
 }
 
-// PackMatrix packs every column of X at threshold thr in one word-tiled
-// pass. Bit-for-bit equal to calling encoding.PackColumn per column.
-func PackMatrix(X [][]float64, thr float64) *PackedMatrix {
-	n := len(X)
-	f := 0
-	if n > 0 {
-		f = len(X[0])
-	}
-	wpc := (n + 63) / 64
-	pm := &PackedMatrix{
-		N:    n,
-		Cols: make([]encoding.BitVec, f),
-		Ones: make([]int, f),
-	}
-	words := make([]uint64, f*wpc)
-	buf := make([]uint64, f)
-	packMatrixInto(X, thr, words, buf, pm)
-	return pm
-}
-
-// packMatrixInto fills pm from X using the caller's word backing and
-// per-column tile accumulator. words must hold f*ceil(n/64) zeroed words;
-// buf must hold f words (content ignored).
-func packMatrixInto(X [][]float64, thr float64, words, buf []uint64, pm *PackedMatrix) {
+// packMatrixInto packs every column of X at threshold thr into pm in one
+// word-tiled pass — bit-for-bit equal to calling encoding.PackColumn per
+// column. pm.N and len(pm.Cols), len(pm.Ones) give the matrix shape; words
+// must hold f*ceil(n/64) zeroed words; buf must hold f words (content
+// ignored).
+func packMatrixInto(X [][]float64, thr float64, words, buf []uint64, pm *packedMatrix) {
 	n := pm.N
 	wpc := (n + 63) / 64
 	for j := range pm.Cols {
@@ -84,12 +66,12 @@ func packMatrixInto(X [][]float64, thr float64, words, buf []uint64, pm *PackedM
 	}
 }
 
-// MutualInformation returns, per packed column, the mutual information (in
+// mutualInformation returns, per packed column, the mutual information (in
 // bits) between the column's bits and the class. For a matrix packed at
-// encoding.BinarizeThreshold this is bit-identical to
-// features.MutualInformation on the original matrix: the popcounts produce
-// the same contingency integers and miFromCounts is the same arithmetic.
-func (pm *PackedMatrix) MutualInformation(y []float64) []float64 {
+// encoding.BinarizeThreshold this is bit-identical to the historical dense
+// row loop on the original matrix: the popcounts produce the same
+// contingency integers and miFromCounts is the same arithmetic.
+func (pm *packedMatrix) mutualInformation(y []float64) []float64 {
 	n := pm.N
 	if n == 0 {
 		return nil
@@ -109,12 +91,12 @@ func (pm *PackedMatrix) MutualInformation(y []float64) []float64 {
 	return out
 }
 
-// ClassCorrelation returns, per packed column, the Pearson correlation of
+// classCorrelation returns, per packed column, the Pearson correlation of
 // the column's 0/1 values with the ±1 labels, via the exact integer
 // identity binaryClassCorr. It requires the matrix to have been exactly
 // 0/1 at packing time and the labels to be exactly ±1 — the conditions the
 // selection context verifies once before routing here.
-func (pm *PackedMatrix) ClassCorrelation(y []float64) []float64 {
+func (pm *packedMatrix) classCorrelation(y []float64) []float64 {
 	n := pm.N
 	out := make([]float64, len(pm.Cols))
 	if n == 0 {
@@ -147,22 +129,10 @@ func (pm *PackedMatrix) ClassCorrelation(y []float64) []float64 {
 	return out
 }
 
-// CorrelationGroups clusters the packed columns whose pairwise |Pearson|
-// exceeds threshold, with members ranked by the packed class correlation.
-// Same requirements as ClassCorrelation (0/1 matrix, ±1 labels); the
-// partition is identical to CorrelationGroups on the original matrix.
-func (pm *PackedMatrix) CorrelationGroups(y []float64, threshold float64) []Group {
-	active := pm.activeColumns(nil)
-	edges := packedEdges(pm, active, threshold, nil)
-	uf := newUnionFind(len(pm.Cols))
-	applyEdges(uf, active, edges)
-	return assembleGroups(active, uf, pm.ClassCorrelation(y))
-}
-
 // activeColumns returns the indices of columns with non-zero variance —
 // for 0/1 data, exactly those with 0 < ones < n (equivalent to the dense
 // Std > 0 test). dst is reused when large enough.
-func (pm *PackedMatrix) activeColumns(dst []int) []int {
+func (pm *packedMatrix) activeColumns(dst []int) []int {
 	dst = dst[:0]
 	for j, c := range pm.Ones {
 		if c > 0 && c < pm.N {
@@ -184,7 +154,7 @@ const packedBlock = 64
 // of the historical per-row items whose cost decayed from f-1 pairs to 1 —
 // and each item writes edges (ka, kb index pairs into active, ka < kb) to
 // its own slot. slots is reused when non-nil.
-func packedEdges(pm *PackedMatrix, active []int, threshold float64, slots [][]int32) [][]int32 {
+func packedEdges(pm *packedMatrix, active []int, threshold float64, slots [][]int32) [][]int32 {
 	nb := (len(active) + packedBlock - 1) / packedBlock
 	items := nb * (nb + 1) / 2
 	if cap(slots) < items {

@@ -114,7 +114,9 @@ func TestMutualInformationPackedBitIdentical(t *testing.T) {
 				X[i] = row
 			}
 		}
-		got := MutualInformation(X, y)
+		sc := newSelCtx(X, y)
+		got := sc.mutualInformation()
+		sc.release()
 		want := denseMIRef(X, y)
 		for j := range want {
 			if got[j] != want[j] {
@@ -199,11 +201,10 @@ func TestClassCorrelationPackedBitIdentical(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n, f := 40+r.Intn(120), 4+r.Intn(20)
 		X, y := randBinary(r, n, f)
-		got := ClassCorrelation(X, y)
-
-		SetForceDense(true)
-		dense := ClassCorrelation(X, y)
-		SetForceDense(false)
+		sc := newSelCtx(X, y)
+		got := sc.classCorrelation()
+		sc.release()
+		dense := legacyClassCorrelation(X, y)
 
 		for j := 0; j < f; j++ {
 			if ref := countClassCorrRef(X, y, j); got[j] != ref {
@@ -223,11 +224,10 @@ func TestCorrelationGroupsPackedMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 10; trial++ {
 		X, y := randBinary(r, 60+r.Intn(100), 8+r.Intn(16))
-		packed := CorrelationGroups(X, y, 0.98)
-
-		SetForceDense(true)
-		dense := CorrelationGroups(X, y, 0.98)
-		SetForceDense(false)
+		sc := newSelCtx(X, y)
+		packed := sc.correlationGroups(0.98)
+		sc.release()
+		dense := legacyCorrelationGroups(X, y, 0.98)
 
 		if !reflect.DeepEqual(packed, dense) {
 			t.Fatalf("trial %d: packed groups %v != dense groups %v", trial, packed, dense)
