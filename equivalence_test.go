@@ -203,6 +203,11 @@ func TestEncoderEquivalence(t *testing.T) {
 			t.Fatalf("packed training W[%d] = %v, dense %v", j, packed.W[j], dense.W[j])
 		}
 	}
+	// The real-corpus fit itself is pinned to a constant, so the weights
+	// stay fixed whichever trainer path produces them.
+	if h := hashMatrix([][]float64{packed.W, {packed.Bias}}); h != "dda33e6daf359e75" {
+		t.Errorf("60-epoch fit W+bias hash = %s, golden dda33e6daf359e75", h)
+	}
 
 	// Incremental training replayed from a zero state must be bit-identical
 	// to the one-shot batch fit on the same corpus: the 60-epoch budget is
