@@ -51,11 +51,11 @@ type Health struct {
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	DetectorVersion   string  `json:"detector_version"`
 	ClassifierVersion string  `json:"classifier_version"`
-	Reloads           int    `json:"reloads"`
-	Rollbacks         int    `json:"rollbacks"`
-	ReloadError       string `json:"reload_error,omitempty"`
-	LastReloadAt      string `json:"last_reload_at,omitempty"`
-	Verdicts          int    `json:"verdicts"`
+	Reloads           int     `json:"reloads"`
+	Rollbacks         int     `json:"rollbacks"`
+	ReloadError       string  `json:"reload_error,omitempty"`
+	LastReloadAt      string  `json:"last_reload_at,omitempty"`
+	Verdicts          int     `json:"verdicts"`
 	// VerdictVersion is the detector version stamped into the most recent
 	// verdict record — normally DetectorVersion, trailing it briefly around
 	// a hot-reload.
