@@ -4,11 +4,11 @@ package perspectron
 // The detector is a linear perceptron over binarized counters, so a
 // verdict's score decomposes exactly into its fired weights — the invariant
 // footprint the paper reads off the learned weights is equally readable off
-// any single decision. AttributeFired reproduces the packed scorer's margin
-// bit-for-bit from just the fired slot list, which is why verdict records
-// need only stamp the (small) fired set for `perspectron explain` to
-// re-derive the full attribution offline from the checkpoint the verdict's
-// Version names.
+// any single decision. AttributeFired rebuilds the fired set from just the
+// slot list and scores it with the packed scorer's own kernel, so its margin
+// is bit-for-bit the logged one. That is why verdict records need only stamp
+// the (small) fired set for `perspectron explain` to re-derive the full
+// attribution offline from the checkpoint the verdict's Version names.
 
 import (
 	"fmt"
@@ -38,12 +38,12 @@ type Contribution struct {
 
 // AttributeFired recomputes the normalized score and per-feature
 // attribution for a sample on which exactly the given feature slots fired.
-// The summation reproduces encoding.MarginPacked ascending-slot order
-// exactly, so the returned score is bit-identical to the one the serving
-// scorer logged for the same fired set (pinned by TestAttributionMatchesScorer).
-// attr holds the top-k contributions by |Weight| (ties broken by slot
-// ascending); k <= 0 returns all fired features. fired may be unsorted; it
-// is not modified.
+// The slots are set in a BitVec and summed by encoding.RawNorm, the kernel
+// under MarginPacked, so the returned score is bit-identical to the one the
+// serving scorer logged for the same fired set (pinned by
+// TestAttributionMatchesScorer). attr holds the top-k contributions by
+// |Weight| (ties broken by slot ascending); k <= 0 returns all fired
+// features. fired may be unsorted; it is not modified.
 func (d *Detector) AttributeFired(fired []int, k int) (score float64, attr []Contribution, err error) {
 	slots := make([]int, len(fired))
 	copy(slots, fired)
@@ -56,22 +56,12 @@ func (d *Detector) AttributeFired(fired []int, k int) (score float64, attr []Con
 			return 0, nil, fmt.Errorf("perspectron: fired slot %d duplicated", slot)
 		}
 	}
-	s := d.Bias
-	norm := math.Abs(d.Bias)
+	set := encoding.NewBitVec(len(d.Weights))
 	for _, slot := range slots {
-		s += d.Weights[slot]
-		norm += math.Abs(d.Weights[slot])
+		set.Set(slot)
 	}
-	if norm == 0 {
-		score = 0
-	} else {
-		score = s / norm
-		if score > 1 {
-			score = 1
-		} else if score < -1 {
-			score = -1
-		}
-	}
+	raw, norm := encoding.RawNorm(d.Bias, d.Weights, set)
+	score = encoding.Normalize(raw, norm)
 	attr = make([]Contribution, len(slots))
 	for i, slot := range slots {
 		c := Contribution{Slot: slot, Weight: d.Weights[slot]}
@@ -108,7 +98,7 @@ func (r *RawScorer) LastFired(dst []int) []int {
 }
 
 // appendSetBits appends the set-bit positions of v to dst, ascending — the
-// same TrailingZeros64 walk MarginPacked scores with.
+// order encoding.RawNorm visits them in.
 func appendSetBits(dst []int, v encoding.BitVec) []int {
 	for wi, word := range v {
 		base := wi << 6

@@ -7,6 +7,7 @@
 package perspectron_test
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -214,29 +215,8 @@ func BenchmarkPerceptronTraining(b *testing.B) {
 // Each benchmark pairs the historical serial/dense implementation against the
 // bit-packed and/or parallel kernel on the same inputs, so the JSON artifact
 // `make bench` writes records the measured speedup next to the baseline.
-// BenchmarkSelect lives with its reference kernels in internal/features.
-
-// BenchmarkFit compares perceptron training over dense float rows against
-// the bit-packed fit (identical weights, set-bit iteration only).
-func BenchmarkFit(b *testing.B) {
-	p := benchPrep()
-	Xd, y := p.Enc.BinaryMatrix(p.DS)
-	Xdense := trace.Project(Xd, p.Sel.Indices)
-	Xb, _ := p.Enc.PackedBinaryMatrix(p.DS)
-	Xpacked := trace.ProjectPacked(Xb, p.Sel.Indices)
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-			det.Fit(Xdense, y)
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-			det.FitPacked(Xpacked, y)
-		}
-	})
-}
+// BenchmarkSelect lives with its reference kernels in internal/features, and
+// BenchmarkFit with its dense reference loop in internal/perceptron.
 
 // BenchmarkCrossValidate compares the serial fold loop against concurrent
 // folds (CVConfig.Parallel); results are identical, only wall-clock differs.
@@ -351,7 +331,60 @@ func newPerceptron(n int) eval.ScoredClassifier {
 func BenchmarkAblationBinarization(b *testing.B) {
 	p := benchPrep()
 	b.Run("binary", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, newPerceptron) })
-	b.Run("scaled", func(b *testing.B) { ablationCV(b, p.Sel.Indices, false, newPerceptron) })
+	b.Run("scaled", func(b *testing.B) {
+		ablationCV(b, p.Sel.Indices, false, func(n int) eval.ScoredClassifier {
+			return &scaledPerceptron{w: make([]float64, n), cfg: perceptron.DefaultConfig()}
+		})
+	})
+}
+
+// scaledPerceptron is the perceptron learning rule over real-valued inputs,
+// the scaled arm of BenchmarkAblationBinarization. The library perceptron
+// treats every non-zero input as a fired bit, so the ablation keeps the
+// historical dense rule here: w += 2µ·y·x on an error or a low margin, and
+// the score (b + w·x) / (|b| + Σ|w_j·x_j|) clamped to [-1, 1]. It runs the
+// default config only, whose positive margin makes "no update in an epoch"
+// the one convergence test.
+type scaledPerceptron struct {
+	w    []float64
+	bias float64
+	cfg  perceptron.Config
+}
+
+func (p *scaledPerceptron) Name() string { return "ScaledPerceptron" }
+
+func (p *scaledPerceptron) rawNorm(x []float64) (raw, norm float64) {
+	raw, norm = p.bias, math.Abs(p.bias)
+	for j, v := range x {
+		raw += p.w[j] * v
+		norm += math.Abs(p.w[j] * v)
+	}
+	return raw, norm
+}
+
+func (p *scaledPerceptron) Score(x []float64) float64 { return encoding.Normalize(p.rawNorm(x)) }
+
+func (p *scaledPerceptron) Fit(X [][]float64, y []float64) {
+	r := rand.New(rand.NewSource(p.cfg.Seed))
+	idx := seqIndices(len(X))
+	for e := 0; e < p.cfg.Epochs; e++ {
+		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		updates := 0
+		for _, i := range idx {
+			raw, norm := p.rawNorm(X[i])
+			if y[i]*encoding.Normalize(raw, norm) < p.cfg.Margin { // errors included
+				updates++
+				step := 2 * p.cfg.LearningRate * y[i]
+				for j, v := range X[i] {
+					p.w[j] += step * v
+				}
+				p.bias += step
+			}
+		}
+		if updates == 0 {
+			break
+		}
+	}
 }
 
 // BenchmarkAblationReplication compares the cross-component replicated

@@ -47,37 +47,6 @@ func (b BitVec) AndCount(o BitVec) int {
 	return n
 }
 
-// XorCount returns popcount(b XOR o): the Hamming distance between two
-// packed vectors. Missing trailing words count as zero.
-func (b BitVec) XorCount(o BitVec) int {
-	long, short := b, o
-	if len(long) < len(short) {
-		long, short = short, long
-	}
-	n := 0
-	for i, w := range short {
-		n += bits.OnesCount64(w ^ long[i])
-	}
-	for _, w := range long[len(short):] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// AndNotCount returns popcount(b AND NOT o) — the count of bits set in b
-// only, used to split a one-count into contingency-table cells.
-func (b BitVec) AndNotCount(o BitVec) int {
-	n := 0
-	for i, w := range b {
-		var ow uint64
-		if i < len(o) {
-			ow = o[i]
-		}
-		n += bits.OnesCount64(w &^ ow)
-	}
-	return n
-}
-
 // Pack converts a dense 0/1 row into its packed form: bit i is set iff
 // row[i] is non-zero.
 func Pack(row []float64) BitVec {

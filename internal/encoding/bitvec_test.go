@@ -58,27 +58,14 @@ func TestBitVecCounts(t *testing.T) {
 		x := randBinaryRow(r, n)
 		y := randBinaryRow(r, n)
 		a, b := Pack(x), Pack(y)
-		var and, xor, andNot int
+		and := 0
 		for i := range x {
-			xa, xb := x[i] != 0, y[i] != 0
-			if xa && xb {
+			if x[i] != 0 && y[i] != 0 {
 				and++
-			}
-			if xa != xb {
-				xor++
-			}
-			if xa && !xb {
-				andNot++
 			}
 		}
 		if got := a.AndCount(b); got != and {
 			t.Fatalf("AndCount = %d, want %d", got, and)
-		}
-		if got := a.XorCount(b); got != xor {
-			t.Fatalf("XorCount = %d, want %d", got, xor)
-		}
-		if got := a.AndNotCount(b); got != andNot {
-			t.Fatalf("AndNotCount = %d, want %d", got, andNot)
 		}
 	}
 }
@@ -94,15 +81,6 @@ func TestBitVecUnequalLengths(t *testing.T) {
 	}
 	if got := short.AndCount(long); got != 1 {
 		t.Fatalf("AndCount (short receiver) = %d, want 1", got)
-	}
-	if got := long.XorCount(short); got != 1 {
-		t.Fatalf("XorCount = %d, want 1 (bit 100 unmatched)", got)
-	}
-	if got := short.XorCount(long); got != 1 {
-		t.Fatalf("XorCount (short receiver) = %d, want 1", got)
-	}
-	if got := long.AndNotCount(short); got != 1 {
-		t.Fatalf("AndNotCount = %d, want 1", got)
 	}
 }
 

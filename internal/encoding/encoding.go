@@ -7,9 +7,12 @@
 // counters, fault-masked values — the PR-1 degraded serving mode) degrades
 // gracefully instead of collapsing.
 //
-// Two layers use it: the trace Encoder's training matrices (Scale,
-// Binarize) and the root package's RawScorer, the one per-sample scoring
-// path behind the Detector and the Classifier (BitsPacked, MarginPacked).
+// The trace Encoder's training matrices use Scale and Binarize. The root
+// package's RawScorer, the one per-sample scoring path behind the Detector
+// and the Classifier, uses BitsPacked and MarginPacked. RawNorm, the fired-bit
+// accumulation under MarginPacked, is also the forward pass of every
+// perceptron training step and the sum Detector.AttributeFired decomposes,
+// so serving, training and explain share one margin kernel.
 // The dense []bool Bits/Margin pair survives only in this package's tests,
 // as the oracle the packed kernels are pinned to. Equivalence tests in the
 // root package pin the outputs to the pre-unification implementations bit
@@ -166,34 +169,47 @@ func (e *Encoding) BitsPacked(raw []float64, indices []int, point int, dst BitVe
 	return dst, avail
 }
 
-// MarginPacked returns the renormalized perceptron output over the fired
-// bits: (bias + Σ w_fired) / (|bias| + Σ |w_fired|), clamped to [-1, 1], or
-// 0 when the denominator is zero. Because masked slots contribute to neither
-// sum, losing a random subset of counters shrinks numerator and denominator
-// together and the normalized confidence degrades gracefully instead of
-// collapsing (docs/FAULTS.md). Only set words are walked, and set bits are
-// visited in ascending slot order — the accumulation order
-// Detector.AttributeFired reproduces.
-func MarginPacked(bias float64, w []float64, fired BitVec) float64 {
-	s := bias
-	norm := math.Abs(bias)
+// RawNorm is the perceptron kernel: the one accumulation behind serving,
+// training and attribution. It returns the raw output bias + Σ w_fired and
+// the active-weight magnitude |bias| + Σ |w_fired| over the fired bits.
+// Only set words are walked, and set bits are visited in ascending slot
+// order, so every caller gets the same float sums for the same fired set.
+func RawNorm(bias float64, w []float64, fired BitVec) (raw, norm float64) {
+	raw = bias
+	norm = math.Abs(bias)
 	for wi, word := range fired {
 		base := wi << 6
 		for word != 0 {
 			j := base + bits.TrailingZeros64(word)
-			s += w[j]
+			raw += w[j]
 			norm += math.Abs(w[j])
 			word &= word - 1
 		}
 	}
+	return raw, norm
+}
+
+// Normalize divides a raw output by its active-weight magnitude and clamps
+// the result to [-1, 1]; a zero magnitude yields 0.
+func Normalize(raw, norm float64) float64 {
 	if norm == 0 {
 		return 0
 	}
-	v := s / norm
+	v := raw / norm
 	if v > 1 {
 		v = 1
 	} else if v < -1 {
 		v = -1
 	}
 	return v
+}
+
+// MarginPacked returns the renormalized perceptron output over the fired
+// bits: (bias + Σ w_fired) / (|bias| + Σ |w_fired|), clamped to [-1, 1], or
+// 0 when the denominator is zero. Because masked slots contribute to neither
+// sum, losing a random subset of counters shrinks numerator and denominator
+// together and the normalized confidence degrades gracefully instead of
+// collapsing (docs/FAULTS.md).
+func MarginPacked(bias float64, w []float64, fired BitVec) float64 {
+	return Normalize(RawNorm(bias, w, fired))
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/perceptron"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
@@ -56,7 +57,7 @@ func Multiway(cfg Config) *MultiwayResult {
 	}
 
 	mc := perceptron.NewMultiClass(classes, p.DS.NumFeatures(), perceptron.DefaultConfig())
-	mc.Fit(Xp, labels)
+	mc.FitPacked(encoding.PackRows(Xp), labels)
 
 	conf := perceptron.NewConfusion(classes)
 	for i, x := range Xp {

@@ -34,24 +34,8 @@ func (m *MultiClass) classIndex(name string) int {
 	return -1
 }
 
-// Fit trains every class detector one-vs-rest on (X, labels).
-func (m *MultiClass) Fit(X [][]float64, labels []string) {
-	y := make([]float64, len(X))
-	for ci := range m.Classes {
-		for i, l := range labels {
-			if l == m.Classes[ci] {
-				y[i] = 1
-			} else {
-				y[i] = -1
-			}
-		}
-		m.Detectors[ci].Fit(X, y)
-	}
-}
-
-// FitPacked is Fit over bit-packed rows; each class detector trains through
-// Perceptron.FitPacked, so the bank's weights are bit-identical to Fit on
-// the equivalent dense 0/1 matrix.
+// FitPacked trains every class detector one-vs-rest on the bit-packed rows
+// X and their class labels.
 func (m *MultiClass) FitPacked(X []encoding.BitVec, labels []string) {
 	y := make([]float64, len(X))
 	for ci := range m.Classes {

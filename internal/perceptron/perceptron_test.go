@@ -37,7 +37,7 @@ func TestLearnsSeparableData(t *testing.T) {
 	errs := 0
 	for i, x := range X {
 		pred := 1.0
-		if p.Raw(x) < 0 {
+		if p.Score(x) < 0 {
 			pred = -1
 		}
 		if pred != y[i] {

@@ -1,12 +1,12 @@
 package perceptron
 
-// Incremental training: the continual-learning half of the perceptron. Fit
-// and FitPacked are one-shot batch drivers; a Trainer exposes the same
-// epoch loop one step at a time, so a background shadow trainer can
-// interleave training with serving, stop at any epoch, serialize its
-// optimizer state into a checkpoint, and resume later — on the original
-// corpus or on a grown one — with results bit-identical to an uninterrupted
-// run.
+// The training loop: StepPacked is the one epoch loop every fit runs.
+// Perceptron.Fit and FitPacked are one-shot batch drivers over it (Fit packs
+// its dense 0/1 rows first). A Trainer exposes the loop one epoch at a time,
+// so a background shadow trainer can interleave training with serving, stop
+// at any epoch, serialize its optimizer state into a checkpoint, and resume
+// later — on the original corpus or on a grown one — with results
+// bit-identical to an uninterrupted run.
 //
 // Bit-identity is load-bearing (the promotion gate compares models trained
 // on different schedules) and rests on two reconstructions:
@@ -19,8 +19,8 @@ package perceptron
 //   - the index permutation: the epoch loop shuffles one persistent index
 //     slice in place, so the permutation after N epochs depends on all N
 //     shuffles. Resume performs the replayed shuffles on a real index
-//     slice, growing it between runs exactly as Step does when the corpus
-//     grows.
+//     slice, growing it between runs exactly as StepPacked does when the
+//     corpus grows.
 //
 // TestTrainerResumeBitIdentical and the golden-corpus pin in the root
 // package's equivalence_test.go hold this contract.
@@ -70,7 +70,7 @@ func (st TrainerState) Clone() TrainerState {
 
 // Trainer drives a Perceptron's training one epoch at a time. Create with
 // NewTrainer (fresh) or ResumeTrainer (from a serialized TrainerState);
-// call Step/StepPacked per epoch or Fit/FitPacked for a budgeted loop. A
+// call StepPacked per epoch or FitPacked for a budgeted loop. A
 // Trainer is not safe for concurrent use and must not be shared with other
 // writers of the same Perceptron.
 type Trainer struct {
@@ -90,10 +90,10 @@ func NewTrainer(p *Perceptron) *Trainer {
 }
 
 // ResumeTrainer reconstructs a trainer from a serialized state: the shuffle
-// RNG and index permutation are replayed from the journal, so the next Step
-// is bit-identical to what the next Step of the original trainer would have
-// been. p must carry the weights the state was captured against (normally
-// both come from the same checkpoint).
+// RNG and index permutation are replayed from the journal, so the next
+// StepPacked is bit-identical to what the next StepPacked of the original
+// trainer would have been. p must carry the weights the state was captured
+// against (normally both come from the same checkpoint).
 func ResumeTrainer(p *Perceptron, st TrainerState) (*Trainer, error) {
 	epochs := 0
 	for _, run := range st.ShuffleLog {
@@ -140,46 +140,20 @@ func (t *Trainer) syncIdx(n int) {
 	}
 }
 
-// Step runs one training epoch over the dense 0/1 matrix, reporting
-// convergence. Samples may be appended to X and y between steps.
-func (t *Trainer) Step(X [][]float64, y []float64) (converged bool) {
-	p := t.p
-	return t.step(len(X), y,
-		func(i int) (raw, norm float64) { return p.rawNorm(X[i]) },
-		func(i int, step float64) {
-			for j, v := range X[i] {
-				if v != 0 {
-					p.W[j] += step * v
-				}
-			}
-			p.Bias += step
-		})
-}
-
-// StepPacked is Step over bit-packed rows, bit-identical to Step on rows
-// packed from the same 0/1 matrix (the FitPacked contract).
+// StepPacked runs one training epoch over the bit-packed rows, reporting
+// convergence: shuffle the persistent permutation, sweep every sample,
+// update on errors and low-margin correct predictions, and journal the
+// shuffle. The forward pass is encoding.RawNorm, the same kernel serving
+// scores with. Samples may be appended to X and y between steps.
 func (t *Trainer) StepPacked(X []encoding.BitVec, y []float64) (converged bool) {
 	p := t.p
-	return t.step(len(X), y,
-		func(i int) (raw, norm float64) { return p.rawNormPacked(X[i]) },
-		func(i int, step float64) {
-			p.updatePacked(X[i], step)
-		})
-}
-
-// step is the single-epoch core shared by the dense and packed paths:
-// shuffle the persistent permutation, sweep every sample, update on errors
-// and low-margin correct predictions, journal the shuffle, and report
-// convergence exactly as the batch driver always has.
-func (t *Trainer) step(n int, y []float64,
-	rawNorm func(i int) (raw, norm float64), update func(i int, step float64)) (converged bool) {
-	p := t.p
 	reg := telemetry.Get()
+	n := len(X)
 	t.syncIdx(n)
 	t.rng.Shuffle(len(t.idx), func(a, b int) { t.idx[a], t.idx[b] = t.idx[b], t.idx[a] })
 	errs, updates := 0, 0
 	for _, i := range t.idx {
-		out, norm := rawNorm(i)
+		out, norm := encoding.RawNorm(p.Bias, p.W, X[i])
 		pred := 1.0
 		if out < 0 {
 			pred = -1
@@ -191,9 +165,9 @@ func (t *Trainer) step(n int, y []float64,
 		// Update on error, and also on low-margin correct predictions
 		// (threshold training). The margin check normalizes the raw output
 		// already in hand instead of recomputing the full dot product.
-		if wrong || (p.cfg.Margin > 0 && y[i]*clampScore(out, norm) < p.cfg.Margin) {
+		if wrong || (p.cfg.Margin > 0 && y[i]*encoding.Normalize(out, norm) < p.cfg.Margin) {
 			updates++
-			update(i, 2*p.cfg.LearningRate*y[i])
+			p.updatePacked(X[i], 2*p.cfg.LearningRate*y[i])
 		}
 	}
 	t.state.Epochs++
@@ -224,22 +198,12 @@ func (t *Trainer) journalShuffle(n int) {
 	t.state.ShuffleLog = append(t.state.ShuffleLog, ShuffleRun{N: n, Count: 1})
 }
 
-// Fit runs Step until convergence or the epoch budget is spent (budget 0
-// uses the config's Epochs, default 1000), reporting convergence. Calling
-// it on a fresh trainer reproduces Perceptron.Fit exactly; calling it again
-// after appending samples is the incremental path.
-func (t *Trainer) Fit(X [][]float64, y []float64, budget int) (converged bool) {
-	return t.fitLoop(budget, func() bool { return t.Step(X, y) })
-}
-
-// FitPacked is Fit over bit-packed rows.
+// FitPacked runs StepPacked until convergence or the epoch budget is spent
+// (budget 0 uses the config's Epochs, default 1000), reporting convergence
+// and publishing the end-of-fit gauges. Calling it on a fresh trainer
+// reproduces Perceptron.FitPacked exactly; calling it again after appending
+// samples is the incremental path.
 func (t *Trainer) FitPacked(X []encoding.BitVec, y []float64, budget int) (converged bool) {
-	return t.fitLoop(budget, func() bool { return t.StepPacked(X, y) })
-}
-
-// fitLoop is the budgeted epoch loop shared with the batch drivers: it also
-// publishes the end-of-fit gauges the batch path always has.
-func (t *Trainer) fitLoop(budget int, step func() bool) (converged bool) {
 	if budget <= 0 {
 		budget = t.p.cfg.Epochs
 		if budget <= 0 {
@@ -249,7 +213,7 @@ func (t *Trainer) fitLoop(budget int, step func() bool) (converged bool) {
 	used := 0
 	for used < budget {
 		used++
-		if step() {
+		if t.StepPacked(X, y) {
 			converged = true
 			break
 		}

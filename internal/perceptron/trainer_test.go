@@ -46,8 +46,8 @@ func weightsEqual(t *testing.T, a, b *Perceptron, what string) {
 }
 
 // TestTrainerStepMatchesFit pins the core contract: stepping a fresh
-// trainer to the same epoch budget is bit-identical to batch Fit, on both
-// the dense and packed paths.
+// trainer to the same epoch budget is bit-identical to the dense oracle's
+// batch fit, as are the dense Fit adapter and the packed batch fit.
 func TestTrainerStepMatchesFit(t *testing.T) {
 	X, Xp, y := trainCorpus(64, 130, 7)
 	cfg := DefaultConfig()
@@ -55,25 +55,24 @@ func TestTrainerStepMatchesFit(t *testing.T) {
 	cfg.Seed = 11
 
 	batch := New(130, cfg)
-	batch.Fit(X, y)
+	oldFit(batch, X, y)
 
-	stepped := New(130, cfg)
-	tr := NewTrainer(stepped)
-	for i := 0; i < cfg.Epochs; i++ {
-		if tr.Step(X, y) {
-			break
-		}
-	}
-	weightsEqual(t, batch, stepped, "dense steps vs Fit")
+	dense := New(130, cfg)
+	dense.Fit(X, y)
+	weightsEqual(t, batch, dense, "dense Fit adapter vs oracle")
 
 	packed := New(130, cfg)
-	ptr := NewTrainer(packed)
+	packed.FitPacked(Xp, y)
+	weightsEqual(t, batch, packed, "packed Fit vs oracle")
+
+	stepped := New(130, cfg)
+	ptr := NewTrainer(stepped)
 	for i := 0; i < cfg.Epochs; i++ {
 		if ptr.StepPacked(Xp, y) {
 			break
 		}
 	}
-	weightsEqual(t, batch, packed, "packed steps vs Fit")
+	weightsEqual(t, batch, stepped, "packed steps vs oracle")
 }
 
 // TestTrainerResumeBitIdentical interrupts training mid-run, round-trips
