@@ -17,8 +17,8 @@ BENCH_APPEND = $(if $(BENCH_HISTORY),-append $(BENCH_HISTORY),)
 .PHONY: ci vet build test race bench bench-hotpath bench-select bench-history smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
 
 # ci is the gate for every PR: static analysis, a full build, and the test
-# suite under the race detector (trace.Collect and the experiments fan out
-# across goroutines).
+# suite under the race detector (trace.Collect, feature selection and the
+# serving runtime fan out across goroutines).
 ci: vet build race
 
 # vet also fails when any Go file is not gofmt-formatted.

@@ -212,34 +212,28 @@ func BenchmarkPerceptronTraining(b *testing.B) {
 
 // ---- hot-path kernel benchmarks (BENCH_hotpath.json) ------------------------
 //
-// Each benchmark pairs the historical serial/dense implementation against the
-// bit-packed and/or parallel kernel on the same inputs, so the JSON artifact
-// `make bench` writes records the measured speedup next to the baseline.
-// BenchmarkSelect lives with its reference kernels in internal/features, and
-// BenchmarkFit with its dense reference loop in internal/perceptron.
+// BenchmarkSelect (in internal/features) and BenchmarkFit (in
+// internal/perceptron) pair the historical dense implementation against the
+// bit-packed kernel on the same inputs, next to their reference code.
+// BenchmarkCrossValidate here has a single serial arm.
 
-// BenchmarkCrossValidate compares the serial fold loop against concurrent
-// folds (CVConfig.Parallel); results are identical, only wall-clock differs.
+// BenchmarkCrossValidate times the Table III perceptron cross-validation:
+// three attack-holdout folds run one after another.
 func BenchmarkCrossValidate(b *testing.B) {
 	p := benchPrep()
-	run := func(parallel bool) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
-					return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-				}, eval.CVConfig{
-					Folds:      eval.TableIIIFolds(),
-					FeatureIdx: p.Sel.Indices,
-					Binary:     true,
-					Threshold:  0.25,
-					Parallel:   parallel,
-				})
-				b.ReportMetric(res.MeanAccuracy, "accuracy")
-			}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
+				return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
+			}, eval.CVConfig{
+				Folds:      eval.TableIIIFolds(),
+				FeatureIdx: p.Sel.Indices,
+				Binary:     true,
+				Threshold:  0.25,
+			})
+			b.ReportMetric(res.MeanAccuracy, "accuracy")
 		}
-	}
-	b.Run("serial", run(false))
-	b.Run("parallel", run(true))
+	})
 }
 
 func BenchmarkEndToEndMonitor(b *testing.B) {

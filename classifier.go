@@ -191,11 +191,7 @@ func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, 
 	if samples == 0 {
 		return nil, fmt.Errorf("perspectron: workload produced no samples")
 	}
-	for class, n := range res.Votes {
-		if n > res.Votes[res.Class] || res.Class == "" {
-			res.Class = class
-		}
-	}
+	res.Class = c.majority(res.Votes)
 	res.Confidence = float64(res.Votes[res.Class]) / float64(samples)
 	res.Coverage = coverageSum / float64(samples)
 	res.Degraded = res.Coverage < 1-1e-12
@@ -207,6 +203,19 @@ func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, 
 		}
 	}
 	return res, nil
+}
+
+// majority returns the class with the most votes. Ties go to the class that
+// comes first in c.Classes — the order the per-interval argmax breaks its
+// own ties in — so the verdict never depends on map iteration order.
+func (c *Classifier) majority(votes map[string]int) string {
+	best := ""
+	for _, class := range c.Classes {
+		if n := votes[class]; n > 0 && (best == "" || n > votes[best]) {
+			best = class
+		}
+	}
+	return best
 }
 
 // Save serializes the classifier as JSON with an embedded SHA-256

@@ -105,3 +105,22 @@ func TestTrainClassifierErrors(t *testing.T) {
 		t.Fatalf("empty corpus accepted")
 	}
 }
+
+// TestClassifierMajorityBreaksTiesInClassOrder: a tied vote goes to the
+// class listed first in Classes, whatever order the vote map ranges in.
+func TestClassifierMajorityBreaksTiesInClassOrder(t *testing.T) {
+	c := &Classifier{Classes: []string{"benign", "flush_reload", "spectre_v1", "spectre_v2"}}
+	votes := map[string]int{"spectre_v2": 3, "flush_reload": 3, "spectre_v1": 3, "benign": 1}
+	for i := 0; i < 100; i++ {
+		if got := c.majority(votes); got != "flush_reload" {
+			t.Fatalf("tied majority = %q, want flush_reload (first tied class)", got)
+		}
+	}
+	votes["spectre_v2"] = 4
+	if got := c.majority(votes); got != "spectre_v2" {
+		t.Fatalf("majority = %q, want spectre_v2", got)
+	}
+	if got := c.majority(map[string]int{}); got != "" {
+		t.Fatalf("majority of no votes = %q, want empty", got)
+	}
+}

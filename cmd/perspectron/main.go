@@ -154,14 +154,10 @@ func cmdTrain(args []string) {
 		fatal(err)
 	}
 	// Re-fetch the training dataset (a free memory hit on the corpus store)
-	// to surface collection health: runs the fault shield retried or dropped.
+	// to surface collection health: runs the fault shield dropped.
 	ds := corpus.Default().Dataset(workloads, opts.CollectConfig())
-	if ds.Retried > 0 || len(ds.Dropped) > 0 {
-		fmt.Fprintf(os.Stderr, "collection: %d runs retried, %d dropped\n",
-			ds.Retried, len(ds.Dropped))
-		for _, d := range ds.Dropped {
-			fmt.Fprintf(os.Stderr, "  dropped %s\n", d)
-		}
+	for _, d := range ds.Dropped {
+		fmt.Fprintf(os.Stderr, "collection: dropped %s\n", d)
 	}
 	f, err := os.Create(*out)
 	if err != nil {

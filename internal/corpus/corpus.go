@@ -50,15 +50,13 @@ const (
 	MetricDiskReadBytes     = "perspectron_corpus_disk_read_bytes_total"
 	MetricDiskWrittenBytes  = "perspectron_corpus_disk_written_bytes_total"
 	MetricRunsDropped       = "perspectron_corpus_runs_dropped_total"
-	MetricRunRetries        = "perspectron_corpus_run_retries_total"
 )
 
 // Stats is a snapshot of the store's traffic: how many datasets were
 // actually simulated versus served from memory or disk, the same split for
 // prepared bundles (encoder + feature selection), disk-cache bytes moved,
-// and the collection-health tallies (runs retried after a panic, runs
-// dropped). It is read out of the store's telemetry registry — there is no
-// second accounting path.
+// and the collection-health tally of dropped runs. It is read out of the
+// store's telemetry registry — there is no second accounting path.
 type Stats struct {
 	Collections int // datasets simulated from scratch
 	MemoryHits  int // datasets served from the in-process map
@@ -69,7 +67,6 @@ type Stats struct {
 	DiskReadBytes    int64 // compressed artifact bytes loaded from disk
 	DiskWrittenBytes int64 // compressed artifact bytes persisted to disk
 	RunsDropped      int   // collection runs abandoned (Dataset.Dropped)
-	RunRetries       int   // collection run attempts that were retried
 }
 
 // Sub returns the component-wise difference s - o, for measuring the
@@ -84,17 +81,16 @@ func (s Stats) Sub(o Stats) Stats {
 		DiskReadBytes:    s.DiskReadBytes - o.DiskReadBytes,
 		DiskWrittenBytes: s.DiskWrittenBytes - o.DiskWrittenBytes,
 		RunsDropped:      s.RunsDropped - o.RunsDropped,
-		RunRetries:       s.RunRetries - o.RunRetries,
 	}
 }
 
 // String renders the one-line cache summary the experiments CLI prints.
-// Collection-health tallies are appended only when something went wrong.
+// The dropped-run tally is appended only when something went wrong.
 func (s Stats) String() string {
 	out := fmt.Sprintf("%d collected, %d reused in-process, %d loaded from disk (selections: %d computed, %d reused)",
 		s.Collections, s.MemoryHits, s.DiskHits, s.Prepared, s.PreparedHit)
-	if s.RunRetries > 0 || s.RunsDropped > 0 {
-		out += fmt.Sprintf("; %d runs retried, %d dropped", s.RunRetries, s.RunsDropped)
+	if s.RunsDropped > 0 {
+		out += fmt.Sprintf("; %d runs dropped", s.RunsDropped)
 	}
 	return out
 }
@@ -186,7 +182,6 @@ func (s *Store) Stats() Stats {
 		DiskReadBytes:    int64(reg.CounterValue(MetricDiskReadBytes)),
 		DiskWrittenBytes: int64(reg.CounterValue(MetricDiskWrittenBytes)),
 		RunsDropped:      int(reg.CounterValue(MetricRunsDropped)),
-		RunRetries:       int(reg.CounterValue(MetricRunRetries)),
 	}
 }
 
@@ -203,17 +198,18 @@ var featureSpaceID = sync.OnceValue(func() string {
 })
 
 // DatasetKey fingerprints a collection request: the workload identities (in
-// order), every output-relevant CollectConfig field, and the machine's
-// counter inventory. Workloads are identified by their Info — the generator
-// name encodes every behavioural parameter (channel, bandwidth factor,
-// polymorphic variant), and per-run randomness derives from cfg.Seed, so
-// equal keys collect byte-identical datasets. cfg.Parallel is excluded: it
-// changes scheduling, not results.
+// order), every CollectConfig field, and the machine's counter inventory.
+// Workloads are identified by their Info — the generator name encodes every
+// behavioural parameter (channel, bandwidth factor, polymorphic variant),
+// and per-run randomness derives from cfg.Seed, so equal keys collect
+// byte-identical datasets. The literal "timeout=0s retries=0" stands where
+// two since-removed collection settings were written, so keys — and the
+// on-disk caches they address — stay what they were.
 func DatasetKey(progs []workload.Program, cfg trace.CollectConfig) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "corpus/v1 features=%s\n", featureSpaceID())
-	fmt.Fprintf(h, "insts=%d interval=%d seed=%d runs=%d timeout=%s retries=%d\n",
-		cfg.MaxInsts, cfg.Interval, cfg.Seed, cfg.Runs, cfg.Timeout, cfg.Retries)
+	fmt.Fprintf(h, "insts=%d interval=%d seed=%d runs=%d timeout=0s retries=0\n",
+		cfg.MaxInsts, cfg.Interval, cfg.Seed, cfg.Runs)
 	for _, p := range progs {
 		i := p.Info()
 		fmt.Fprintf(h, "%s|%s|%s|%d\n", i.Name, i.Category, i.Channel, i.Label)
@@ -261,7 +257,6 @@ func (s *Store) DatasetCtx(ctx context.Context, progs []workload.Program, cfg tr
 		} else {
 			ds = s.collect(ctx, progs, cfg)
 			reg.Counter(MetricRunsDropped).Add(uint64(len(ds.Dropped)))
-			reg.Counter(MetricRunRetries).Add(uint64(ds.Retried))
 			// A cancelled collection is partial: never persist it, and keep
 			// it out of the memory cache too — a later caller with a live
 			// context must get a complete collection.
@@ -272,7 +267,9 @@ func (s *Store) DatasetCtx(ctx context.Context, progs []workload.Program, cfg tr
 				wg.Done()
 				return ds
 			}
-			if dir != "" && cacheable(ds, cfg) {
+			// Runs dropped by panics or cancellation make the artifact
+			// incomplete, so only complete collections go to disk.
+			if dir != "" && len(ds.Dropped) == 0 {
 				written := s.save(ctx, dir, key, ds)
 				reg.Counter(MetricDiskWrittenBytes).Add(uint64(written))
 			}
@@ -289,13 +286,6 @@ func (s *Store) DatasetCtx(ctx context.Context, progs []workload.Program, cfg tr
 		wg.Done()
 		return ds
 	}
-}
-
-// cacheable reports whether a dataset may be persisted: runs dropped by
-// timeouts or panics make the artifact wall-clock-dependent, so only
-// complete, deterministic collections go to disk.
-func cacheable(ds *trace.Dataset, cfg trace.CollectConfig) bool {
-	return len(ds.Dropped) == 0 && cfg.Timeout == 0
 }
 
 // selKey fingerprints a feature-selection configuration.

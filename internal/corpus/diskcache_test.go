@@ -121,3 +121,48 @@ func TestCtxReaderWriterHonorCancellation(t *testing.T) {
 		t.Fatalf("cancelled ctxWriter write succeeded")
 	}
 }
+
+// FuzzStoreLoad feeds arbitrary bytes to the disk-cache reader as a cached
+// artifact. Whatever the bytes, load must not panic, and must return either
+// a miss (nil dataset, no bytes counted) or a dataset with its file size.
+func FuzzStoreLoad(f *testing.F) {
+	const key = "fuzzkey"
+	seedDir := f.TempDir()
+	ds := &trace.Dataset{
+		FeatureNames: []string{"a", "b"},
+		Interval:     10_000,
+		Samples: []trace.Sample{
+			{Program: "p", Category: "c", Run: 0, Index: 0, Raw: []float64{1, 2}},
+			{Program: "p", Category: "c", Run: 0, Index: 1, Raw: []float64{3, 0.5}},
+		},
+	}
+	s := NewStore()
+	if s.save(context.Background(), seedDir, key, ds) == 0 {
+		f.Fatal("seed artifact was not written")
+	}
+	if got, _ := s.load(context.Background(), seedDir, key); got == nil {
+		f.Fatal("seed artifact does not load")
+	}
+	art, err := os.ReadFile(s.path(seedDir, key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(art)
+	f.Add(art[:len(art)/2])
+	f.Add([]byte{})
+	f.Add([]byte("not gzip"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(s.path(dir, key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, n := s.load(context.Background(), dir, key)
+		switch {
+		case got == nil && n != 0:
+			t.Fatalf("miss counted %d bytes read", n)
+		case got != nil && n != int64(len(data)):
+			t.Fatalf("hit counted %d bytes read, file has %d", n, len(data))
+		}
+	})
+}

@@ -73,12 +73,12 @@ func TestSetRegistryExposesCorpusSeries(t *testing.T) {
 }
 
 func TestStatsStringIncludesHealth(t *testing.T) {
-	s := Stats{Collections: 1, RunRetries: 2, RunsDropped: 1}
-	if got := s.String(); !strings.Contains(got, "2 runs retried, 1 dropped") {
+	s := Stats{Collections: 1, RunsDropped: 1}
+	if got := s.String(); !strings.Contains(got, "; 1 runs dropped") {
 		t.Errorf("String() = %q, want health tallies", got)
 	}
 	clean := Stats{Collections: 1}
-	if got := clean.String(); strings.Contains(got, "retried") {
-		t.Errorf("clean String() mentions retries: %q", got)
+	if got := clean.String(); strings.Contains(got, "dropped") {
+		t.Errorf("clean String() mentions dropped runs: %q", got)
 	}
 }

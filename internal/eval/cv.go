@@ -2,7 +2,6 @@ package eval
 
 import (
 	"sort"
-	"sync"
 
 	"perspectron/internal/ml"
 	"perspectron/internal/trace"
@@ -76,12 +75,6 @@ type CVConfig struct {
 	Binary bool
 	// Threshold is the decision threshold on the classifier score.
 	Threshold float64
-	// Parallel runs the folds concurrently. Every fold already builds an
-	// independent train/test split, normalization matrix and classifier,
-	// so the per-fold results are identical to a serial run; they are
-	// written into fold-order slots, keeping CVResult deterministic. The
-	// mk factory must be safe to call from multiple goroutines.
-	Parallel bool
 }
 
 // CrossValidate runs attack-holdout CV: per fold it splits the dataset,
@@ -109,7 +102,8 @@ func CrossValidate(ds *trace.Dataset, mk func() ScoredClassifier, cfg CVConfig) 
 	}
 	multiChannel := func(cat string) bool { return len(chanByCat[cat]) > 1 }
 
-	runFold := func(fi int, fold Fold) FoldResult {
+	res.Folds = make([]FoldResult, len(cfg.Folds))
+	for fi, fold := range cfg.Folds {
 		testCat := map[string]bool{}
 		for _, c := range fold.TestCategories {
 			testCat[c] = true
@@ -147,7 +141,7 @@ func CrossValidate(ds *trace.Dataset, mk func() ScoredClassifier, cfg CVConfig) 
 		train := ds.Filter(inTrain)
 		test := ds.Filter(inTest)
 		if len(train.Samples) == 0 || len(test.Samples) == 0 {
-			return FoldResult{}
+			continue // an empty fold keeps its zero FoldResult
 		}
 
 		enc := trace.NewEncoder(train)
@@ -190,24 +184,7 @@ func CrossValidate(ds *trace.Dataset, mk func() ScoredClassifier, cfg CVConfig) 
 		fr.AUC = AUC(ROC(scores, yte))
 		fr.Scores = scores
 		fr.Labels = yte
-		return fr
-	}
-
-	res.Folds = make([]FoldResult, len(cfg.Folds))
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		for fi, fold := range cfg.Folds {
-			wg.Add(1)
-			go func(fi int, fold Fold) {
-				defer wg.Done()
-				res.Folds[fi] = runFold(fi, fold)
-			}(fi, fold)
-		}
-		wg.Wait()
-	} else {
-		for fi, fold := range cfg.Folds {
-			res.Folds[fi] = runFold(fi, fold)
-		}
+		res.Folds[fi] = fr
 	}
 
 	res.MeanAccuracy, _ = MeanStd(res.Accuracies())

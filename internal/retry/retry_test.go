@@ -2,7 +2,6 @@ package retry
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 )
 
 func TestBackoffDeterministicForSeed(t *testing.T) {
-	p := Policy{MaxAttempts: 8, Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
+	p := Policy{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
 	a, b := NewBackoff(p, 42), NewBackoff(p, 42)
 	for i := 0; i < 8; i++ {
 		da, db := a.Next(), b.Next()
@@ -32,7 +31,7 @@ func TestBackoffDeterministicForSeed(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	p := Policy{MaxAttempts: 10, Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}
+	p := Policy{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}
 	b := NewBackoff(p, 1) // Jitter 0: exact sequence
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
@@ -57,9 +56,8 @@ func TestBackoffReset(t *testing.T) {
 	p := Policy{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2}
 	b := NewBackoff(p, 1)
 	b.Next()
-	b.Next()
-	if b.Attempt() != 2 {
-		t.Fatalf("attempt = %d, want 2", b.Attempt())
+	if got := b.Next(); got != 20*time.Millisecond {
+		t.Fatalf("second backoff = %v, want 20ms", got)
 	}
 	b.Reset()
 	if got := b.Next(); got != 10*time.Millisecond {
@@ -67,73 +65,34 @@ func TestBackoffReset(t *testing.T) {
 	}
 }
 
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	p := Policy{MaxAttempts: 5, Base: time.Millisecond, Max: time.Millisecond}
-	var seen []int
-	attempts, err := Do(context.Background(), "test", p, 1, func(attempt int) error {
-		seen = append(seen, attempt)
-		if attempt < 2 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err != nil || attempts != 3 {
-		t.Fatalf("Do = (%d, %v), want (3, nil)", attempts, err)
-	}
-	if len(seen) != 3 || seen[0] != 0 || seen[2] != 2 {
-		t.Fatalf("attempt numbers = %v, want [0 1 2]", seen)
-	}
-}
-
-func TestDoGivesUp(t *testing.T) {
-	p := Policy{MaxAttempts: 3, Base: time.Millisecond, Max: time.Millisecond}
-	boom := errors.New("boom")
-	attempts, err := Do(context.Background(), "test", p, 1, func(int) error { return boom })
-	if !errors.Is(err, boom) || attempts != 3 {
-		t.Fatalf("Do = (%d, %v), want (3, boom)", attempts, err)
-	}
-}
-
-func TestDoStopsOnCancelledContext(t *testing.T) {
+func TestSleepCancelCutsBackoffShort(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	attempts, err := Do(ctx, "test", Policy{MaxAttempts: 5}, 1, func(int) error {
-		t.Fatal("fn ran under a cancelled context")
-		return nil
-	})
-	if attempts != 0 || err != nil {
-		t.Fatalf("Do = (%d, %v), want (0, nil)", attempts, err)
-	}
-}
-
-func TestDoCancelDuringBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{MaxAttempts: 10, Base: 10 * time.Second, Max: 10 * time.Second}
-	boom := errors.New("boom")
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	attempts, err := Do(ctx, "test", p, 1, func(int) error { return boom })
-	if attempts != 1 || !errors.Is(err, boom) {
-		t.Fatalf("Do = (%d, %v), want (1, boom)", attempts, err)
+	if Sleep(ctx, "test", 10*time.Second) {
+		t.Fatalf("Sleep reported a full backoff under a cancelled context")
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("cancel did not cut the backoff sleep short")
 	}
+	if Sleep(ctx, "test", 0) {
+		t.Fatalf("zero Sleep under a cancelled context reported success")
+	}
 }
 
-func TestDoRecordsTelemetry(t *testing.T) {
+func TestSleepRecordsBackoffTelemetry(t *testing.T) {
 	reg := telemetry.Enable()
 	defer telemetry.Disable()
-	before := reg.CounterValue(telemetry.Name("perspectron_retry_attempts_total", "op", "unit"))
-	p := Policy{MaxAttempts: 2, Base: time.Millisecond, Max: time.Millisecond}
-	Do(context.Background(), "unit", p, 1, func(int) error { return errors.New("x") })
-	if got := reg.CounterValue(telemetry.Name("perspectron_retry_attempts_total", "op", "unit")); got != before+2 {
-		t.Fatalf("attempts counter = %d, want %d", got, before+2)
+	h := reg.Histogram(telemetry.Name("perspectron_retry_backoff_seconds", "op", "unit"),
+		telemetry.DurationBuckets)
+	before := h.Count()
+	if !Sleep(context.Background(), "unit", time.Millisecond) {
+		t.Fatalf("uncancelled Sleep did not complete")
 	}
-	if got := reg.CounterValue(telemetry.Name("perspectron_retry_giveups_total", "op", "unit")); got == 0 {
-		t.Fatalf("giveup not recorded")
+	if got := h.Count(); got != before+1 {
+		t.Fatalf("backoff observations = %d, want %d", got, before+1)
 	}
 }

@@ -70,7 +70,7 @@ func BenchmarkServeSaturation(b *testing.B) {
 				id:     i,
 				name:   fmt.Sprintf("stream-%d", i),
 				benign: i%4 != 0, // mostly-benign fleet, like production
-				ladder: newLadder(s.cfg.ClassifierFloor, s.cfg.DetectorFloor, s.cfg.Hysteresis, false),
+				ladder: newLadder(classifierCoverageFloor, detectorCoverageFloor, false),
 			}
 		}
 
@@ -202,7 +202,7 @@ func BenchmarkServeForensicsOverhead(b *testing.B) {
 			}
 			sh := s.shards[0]
 			w := &worker{id: 0, name: "bench", benign: false,
-				ladder: newLadder(s.cfg.ClassifierFloor, s.cfg.DetectorFloor, s.cfg.Hysteresis, false)}
+				ladder: newLadder(classifierCoverageFloor, detectorCoverageFloor, false)}
 			var cache scorerCache
 			loadMode, _ := sh.load.snapshot()
 			now := time.Now()

@@ -163,7 +163,7 @@ func TestServeChaos(t *testing.T) {
 			spikeWorkers[i] = &worker{
 				id: 1000 + i, name: "spike-" + strings.Repeat("x", i%4),
 				benign: i%2 == 0,
-				ladder: newLadder(0.9, 0.5, 0.05, true),
+				ladder: newLadder(0.9, 0.5, true),
 			}
 		}
 		raw := make([]float64, 64) // worthless sample, zero coverage — fine

@@ -6,6 +6,16 @@ import (
 	"perspectron"
 )
 
+// The coverage ladder's smoothed-coverage floors: below
+// classifierCoverageFloor the classifier rung is abandoned, below
+// detectorCoverageFloor the detector rung. hysteresis is the climb-back
+// margin of every ladder, the load rung's included.
+const (
+	classifierCoverageFloor = 0.9
+	detectorCoverageFloor   = 0.5
+	hysteresis              = 0.05
+)
+
 // ladder is one worker's graceful-degradation state machine. Coverage — the
 // fraction of model features observable per sample — is smoothed with an
 // EWMA, and the serving mode walks down the ladder (classifier → detector →
@@ -15,7 +25,6 @@ import (
 type ladder struct {
 	classifierFloor float64 // below: classifier rung unusable
 	detectorFloor   float64 // below: detector rung unusable
-	hysteresis      float64 // extra margin required to climb back up
 	alpha           float64 // EWMA smoothing weight for new samples
 	hasClassifier   bool
 
@@ -25,11 +34,10 @@ type ladder struct {
 	seen bool
 }
 
-func newLadder(classifierFloor, detectorFloor, hysteresis float64, hasClassifier bool) *ladder {
+func newLadder(classifierFloor, detectorFloor float64, hasClassifier bool) *ladder {
 	l := &ladder{
 		classifierFloor: classifierFloor,
 		detectorFloor:   detectorFloor,
-		hysteresis:      hysteresis,
 		alpha:           0.3,
 		hasClassifier:   hasClassifier,
 		mode:            perspectron.ModeDetector,
@@ -60,11 +68,11 @@ func (l *ladder) observe(coverage float64) (mode perspectron.ServeMode, changed 
 		l.mode = perspectron.ModeThreshold
 	}
 	// ...and climb back one rung at a time, only past floor+hysteresis.
-	if l.mode == perspectron.ModeThreshold && l.ewma >= l.detectorFloor+l.hysteresis {
+	if l.mode == perspectron.ModeThreshold && l.ewma >= l.detectorFloor+hysteresis {
 		l.mode = perspectron.ModeDetector
 	}
 	if l.mode == perspectron.ModeDetector && l.hasClassifier &&
-		l.ewma >= l.classifierFloor+l.hysteresis && prev != perspectron.ModeThreshold {
+		l.ewma >= l.classifierFloor+hysteresis && prev != perspectron.ModeThreshold {
 		l.mode = perspectron.ModeClassifier
 	}
 	return l.mode, l.mode != prev

@@ -289,7 +289,7 @@ func TestShedRecordsCarryTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &worker{id: 0, name: "burst", benign: true,
-		ladder: newLadder(s.cfg.ClassifierFloor, s.cfg.DetectorFloor, s.cfg.Hysteresis, false)}
+		ladder: newLadder(classifierCoverageFloor, detectorCoverageFloor, false)}
 	var sheds []VerdictRecord
 	s.onVerdict = func(rec VerdictRecord) {
 		if rec.Shed {

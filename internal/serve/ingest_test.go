@@ -18,7 +18,7 @@ import (
 // --- ring ----------------------------------------------------------------
 
 func TestRingSpreadsAndIsStable(t *testing.T) {
-	r := newRing(4, 16)
+	r := newRing(4)
 	counts := make([]int, 4)
 	owner := map[string]int{}
 	for i := 0; i < 400; i++ {
@@ -37,7 +37,7 @@ func TestRingSpreadsAndIsStable(t *testing.T) {
 	}
 	// A rebuilt ring routes identically — placement is a pure function of
 	// the key, so streams keep their shard across restarts.
-	r2 := newRing(4, 16)
+	r2 := newRing(4)
 	for key, sh := range owner {
 		if got := r2.lookup(key, nil); got != sh {
 			t.Fatalf("rebuilt ring moved %q: %d -> %d", key, sh, got)
@@ -46,7 +46,7 @@ func TestRingSpreadsAndIsStable(t *testing.T) {
 }
 
 func TestRingRoutesAroundUnhealthyShards(t *testing.T) {
-	r := newRing(4, 16)
+	r := newRing(4)
 	down := 2
 	healthy := func(sh int) bool { return sh != down }
 	moved := 0
@@ -86,7 +86,7 @@ func item(w *worker, sample int) *ingestItem {
 
 func TestShardShedsOldestBenignFirst(t *testing.T) {
 	ben, atk := testWorkerPair()
-	sh := newShard(0, 3, newLadder(0.25, 0.1, 0.05, false), newBreaker(3, time.Minute))
+	sh := newShard(0, 3, newLadder(0.25, 0.1, false), newBreaker(3, time.Minute))
 	for i, w := range []*worker{atk, ben, atk} {
 		if victim, admitted, _ := sh.enqueue(item(w, i)); victim != nil || !admitted {
 			t.Fatalf("enqueue %d shed with room in the ring", i)
@@ -127,7 +127,7 @@ func TestShardShedsOldestBenignFirst(t *testing.T) {
 
 func TestShardRingBufferWraps(t *testing.T) {
 	_, atk := testWorkerPair()
-	sh := newShard(0, 4, newLadder(0.25, 0.1, 0.05, false), newBreaker(3, time.Minute))
+	sh := newShard(0, 4, newLadder(0.25, 0.1, false), newBreaker(3, time.Minute))
 	next := 0
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 3; i++ {
@@ -152,7 +152,7 @@ func TestShardRingBufferWraps(t *testing.T) {
 
 func TestLoadRungWalksDownUnderPressure(t *testing.T) {
 	// Floors mirror LoadHigh=0.75, LoadCritical=0.9.
-	l := newLadder(1-0.75, 1-0.9, 0.05, true)
+	l := newLadder(1-0.75, 1-0.9, true)
 	if mode, _ := l.observeLoad(0); mode != perspectron.ModeClassifier {
 		t.Fatalf("idle shard mode = %s, want classifier", mode)
 	}

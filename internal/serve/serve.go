@@ -28,7 +28,7 @@ import (
 	"perspectron/internal/workload"
 )
 
-// Config configures a Supervisor. Zero-valued durations and floors fall
+// Config configures a Supervisor. Zero-valued durations and thresholds fall
 // back to the defaults noted on each field.
 type Config struct {
 	// DetectorPath is the detector checkpoint to load and watch. Required
@@ -60,8 +60,8 @@ type Config struct {
 	// EpisodeTimeout bounds one whole episode (default 60s).
 	EpisodeTimeout time.Duration
 	// Backoff shapes the delay between failed episodes (default
-	// retry.DefaultPolicy with unlimited attempts — the breaker, not the
-	// policy, decides when to stop trying).
+	// retry.DefaultPolicy; the breaker, not the policy, decides when to stop
+	// trying).
 	Backoff retry.Policy
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// worker's circuit breaker (default 3); BreakerCooldown is how long it
@@ -69,19 +69,9 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// ClassifierFloor and DetectorFloor are the smoothed-coverage levels
-	// below which the ladder abandons the classifier (default 0.9) and the
-	// detector (default 0.5); Hysteresis is the climb-back margin
-	// (default 0.05), shared with the load rung.
-	ClassifierFloor float64
-	DetectorFloor   float64
-	Hysteresis      float64
-
 	// Shards is the number of scoring lanes samples are hashed onto
-	// (default min(GOMAXPROCS, 8)); RingReplicas the virtual nodes per
-	// shard on the consistent-hash ring (default 16).
-	Shards       int
-	RingReplicas int
+	// (default min(GOMAXPROCS, 8)).
+	Shards int
 	// QueueDepth caps each shard's pending-sample ring buffer (default
 	// 1024). A full ring sheds — oldest benign-stream sample first — and
 	// every shed is logged and counted, never silent.
@@ -181,21 +171,11 @@ func (c *Config) withDefaults() Config {
 	if out.Backoff == (retry.Policy{}) {
 		out.Backoff = retry.DefaultPolicy()
 	}
-	out.Backoff.MaxAttempts = 0 // the breaker owns give-up decisions
 	if out.BreakerThreshold <= 0 {
 		out.BreakerThreshold = 3
 	}
 	if out.BreakerCooldown <= 0 {
 		out.BreakerCooldown = 5 * time.Second
-	}
-	if out.ClassifierFloor == 0 {
-		out.ClassifierFloor = 0.9
-	}
-	if out.DetectorFloor == 0 {
-		out.DetectorFloor = 0.5
-	}
-	if out.Hysteresis == 0 {
-		out.Hysteresis = 0.05
 	}
 	if out.PollInterval == 0 {
 		out.PollInterval = 500 * time.Millisecond
@@ -211,9 +191,6 @@ func (c *Config) withDefaults() Config {
 		if out.Shards > 8 {
 			out.Shards = 8
 		}
-	}
-	if out.RingReplicas <= 0 {
-		out.RingReplicas = 16
 	}
 	if out.QueueDepth <= 0 {
 		out.QueueDepth = 1024
@@ -407,14 +384,14 @@ func New(cfg Config) (*Supervisor, error) {
 			prog:    w,
 			benign:  w.Info().Label == workload.Benign,
 			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-			ladder:  newLadder(cfg.ClassifierFloor, cfg.DetectorFloor, cfg.Hysteresis, cls != nil),
+			ladder:  newLadder(classifierCoverageFloor, detectorCoverageFloor, cls != nil),
 		})
 	}
-	s.ring = newRing(cfg.Shards, cfg.RingReplicas)
+	s.ring = newRing(cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		// The load rung reuses the coverage ladder on headroom = 1-pressure,
 		// so its floors are the complements of the pressure marks.
-		load := newLadder(1-cfg.LoadHigh, 1-cfg.LoadCritical, cfg.Hysteresis, cls != nil)
+		load := newLadder(1-cfg.LoadHigh, 1-cfg.LoadCritical, cls != nil)
 		s.shards = append(s.shards, newShard(i, cfg.QueueDepth, load,
 			newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)))
 	}

@@ -174,7 +174,7 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestLadderWalksDownAndClimbsBack(t *testing.T) {
-	l := newLadder(0.9, 0.5, 0.05, true)
+	l := newLadder(0.9, 0.5, true)
 	if mode, _ := l.observe(1.0); mode != perspectron.ModeClassifier {
 		t.Fatalf("full coverage mode = %s, want classifier", mode)
 	}
@@ -201,14 +201,14 @@ func TestLadderWalksDownAndClimbsBack(t *testing.T) {
 		t.Fatalf("full coverage never climbed back to classifier (mode=%s)", mode)
 	}
 	// Without a classifier the top rung is the detector.
-	l2 := newLadder(0.9, 0.5, 0.05, false)
+	l2 := newLadder(0.9, 0.5, false)
 	if mode, _ := l2.observe(1.0); mode != perspectron.ModeDetector {
 		t.Fatalf("detector-only ladder mode = %s, want detector", mode)
 	}
 }
 
 func TestLadderHysteresisPreventsFlapping(t *testing.T) {
-	l := newLadder(0.9, 0.5, 0.05, true)
+	l := newLadder(0.9, 0.5, true)
 	for i := 0; i < 30; i++ {
 		l.observe(0.85) // below the classifier floor
 	}

@@ -41,10 +41,9 @@ import (
 type Config struct {
 	// DetectorPath is the live detector checkpoint: the model each round
 	// resumes from and the promotion gate's target. Required.
+	// Freshly trained candidates are staged at DetectorPath+".candidate"
+	// before the gate.
 	DetectorPath string
-	// CandidatePath is where freshly trained candidates are staged before
-	// the gate (default DetectorPath+".candidate").
-	CandidatePath string
 	// VerdictLog is the serving runtime's JSONL verdict log to tail
 	// (optional; empty disables verdict consumption).
 	VerdictLog string
@@ -63,19 +62,8 @@ type Config struct {
 	// perspectron.DefaultIncrementEpochs).
 	Budget int
 
-	// Golden is the held-out gate corpus. When nil, the trainer collects
-	// one on first use from GoldenWorkloads (default: Workloads) with the
-	// opts seed offset by GoldenSeedOffset — a seed the round-varied
-	// training collections never reuse.
-	Golden           *perspectron.GoldenSet
-	GoldenWorkloads  []perspectron.Workload
-	GoldenSeedOffset int64 // default 9973
-
 	// Interval is the cadence of Run's rounds (default 30s).
 	Interval time.Duration
-	// DriftAlpha is the drift EWMA's smoothing factor in (0, 1]; higher
-	// follows the newest round faster (default 0.3).
-	DriftAlpha float64
 	// DriftThreshold is the smoothed-drift level past which the trainer
 	// raises its drift alarm (default 0.25).
 	DriftThreshold float64
@@ -83,26 +71,14 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.CandidatePath == "" {
-		out.CandidatePath = out.DetectorPath + ".candidate"
-	}
 	if out.StatePath == "" && out.VerdictLog != "" {
 		out.StatePath = out.VerdictLog + ".offset"
 	}
 	if out.Budget <= 0 {
 		out.Budget = perspectron.DefaultIncrementEpochs
 	}
-	if len(out.GoldenWorkloads) == 0 {
-		out.GoldenWorkloads = out.Workloads
-	}
-	if out.GoldenSeedOffset == 0 {
-		out.GoldenSeedOffset = 9973
-	}
 	if out.Interval <= 0 {
 		out.Interval = 30 * time.Second
-	}
-	if out.DriftAlpha <= 0 || out.DriftAlpha > 1 {
-		out.DriftAlpha = 0.3
 	}
 	if out.DriftThreshold <= 0 {
 		out.DriftThreshold = 0.25
@@ -173,7 +149,6 @@ func New(cfg Config) (*Trainer, error) {
 	t := &Trainer{
 		cfg:        cfg,
 		started:    time.Now(),
-		golden:     cfg.Golden,
 		byVersion:  map[string]int{},
 		attrCounts: map[string]int{},
 	}
@@ -347,10 +322,11 @@ func (t *Trainer) RunOnce(ctx context.Context) (Round, error) {
 	// 5. Stage the candidate and run the gate. Promotion atomically renames
 	// over the live path; the serving watcher hot-reloads it on its next
 	// poll. Rejection preserves the candidate beside the live file.
-	if err := cand.SaveFile(t.cfg.CandidatePath); err != nil {
+	candPath := t.cfg.DetectorPath + ".candidate"
+	if err := cand.SaveFile(candPath); err != nil {
 		return fail(fmt.Errorf("shadow: staging candidate: %w", err))
 	}
-	promo, err := perspectron.PromoteDetector(t.cfg.CandidatePath, t.cfg.DetectorPath, golden)
+	promo, err := perspectron.PromoteDetector(candPath, t.cfg.DetectorPath, golden)
 	if err != nil {
 		return fail(fmt.Errorf("shadow: promotion gate: %w", err))
 	}
@@ -385,7 +361,16 @@ func (t *Trainer) RunOnce(ctx context.Context) (Round, error) {
 	return r, nil
 }
 
-// goldenSet returns the frozen gate corpus, collecting it on first use.
+// goldenSeedOffset shifts the opts seed for the held-out gate corpus to a
+// seed the round-varied training collections never reuse.
+const goldenSeedOffset = 9973
+
+// driftAlpha is the drift EWMA's smoothing factor; higher follows the newest
+// round faster.
+const driftAlpha = 0.3
+
+// goldenSet returns the frozen gate corpus, collecting it from the training
+// workloads on first use.
 func (t *Trainer) goldenSet() (*perspectron.GoldenSet, error) {
 	t.mu.Lock()
 	g := t.golden
@@ -394,8 +379,8 @@ func (t *Trainer) goldenSet() (*perspectron.GoldenSet, error) {
 		return g, nil
 	}
 	opts := t.cfg.Opts
-	opts.Seed += t.cfg.GoldenSeedOffset
-	g, err := perspectron.CollectGolden(t.cfg.GoldenWorkloads, opts)
+	opts.Seed += goldenSeedOffset
+	g, err := perspectron.CollectGolden(t.cfg.Workloads, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: collecting golden corpus: %w", err)
 	}
@@ -412,7 +397,7 @@ func (t *Trainer) observeDrift(raw float64) float64 {
 	if !t.driftInit {
 		t.drift, t.driftInit = raw, true
 	} else {
-		t.drift = t.cfg.DriftAlpha*raw + (1-t.cfg.DriftAlpha)*t.drift
+		t.drift = driftAlpha*raw + (1-driftAlpha)*t.drift
 	}
 	smoothed := t.drift
 	alarm := smoothed > t.cfg.DriftThreshold

@@ -174,7 +174,6 @@ func TestDriftEWMAAndAlarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := shadowConfig(t, livePath)
-	cfg.DriftAlpha = 0.5
 	cfg.DriftThreshold = 0.2
 	tr, err := New(cfg)
 	if err != nil {
@@ -188,8 +187,9 @@ func TestDriftEWMAAndAlarm(t *testing.T) {
 	if got := tr.observeDrift(0.1); got != 0.1 {
 		t.Fatalf("seed drift = %v, want 0.1", got)
 	}
-	if got := tr.observeDrift(0.5); got != 0.5*0.5+0.5*0.1 {
-		t.Fatalf("smoothed drift = %v, want 0.3", got)
+	raw, seed := 0.5, 0.1 // float64 operands, so want rounds as observeDrift does
+	if got, want := tr.observeDrift(raw), driftAlpha*raw+(1-driftAlpha)*seed; got != want {
+		t.Fatalf("smoothed drift = %v, want %v", got, want)
 	}
 	d, alarm := tr.Drift()
 	if d <= cfg.DriftThreshold || !alarm {

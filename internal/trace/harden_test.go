@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"perspectron/internal/isa"
-	"perspectron/internal/retry"
 	"perspectron/internal/sim"
-	"perspectron/internal/telemetry"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/benign"
 )
@@ -30,11 +28,10 @@ func (s *plainStream) Next() (isa.Op, bool) {
 	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
 }
 
-// panicProg panics after emitting `after` ops on its first `failures`
-// streams, then behaves.
+// panicProg's streams panic after emitting `after` ops; attempts counts the
+// streams opened.
 type panicProg struct {
 	after    uint64
-	failures int32
 	attempts *int32
 }
 
@@ -43,19 +40,18 @@ func (p *panicProg) Info() workload.Info {
 }
 
 func (p *panicProg) Stream(_ *rand.Rand) isa.Stream {
-	attempt := atomic.AddInt32(p.attempts, 1)
-	return &panicStream{after: p.after, panics: attempt <= p.failures}
+	atomic.AddInt32(p.attempts, 1)
+	return &panicStream{after: p.after}
 }
 
 type panicStream struct {
-	n      uint64
-	after  uint64
-	panics bool
+	n     uint64
+	after uint64
 }
 
 func (s *panicStream) Next() (isa.Op, bool) {
 	s.n++
-	if s.panics && s.n > s.after {
+	if s.n > s.after {
 		panic("workload bug")
 	}
 	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
@@ -65,9 +61,9 @@ func TestCollectRecoversFromPanickingWorkload(t *testing.T) {
 	var attempts int32
 	progs := []workload.Program{
 		benign.All()[0],
-		&panicProg{after: 5_000, failures: 99, attempts: &attempts}, // never succeeds
+		&panicProg{after: 5_000, attempts: &attempts},
 	}
-	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
+	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1}
 	ds := Collect(progs, cfg)
 	if len(ds.Samples) == 0 {
 		t.Fatalf("healthy workload produced no samples alongside a panicking one")
@@ -81,69 +77,11 @@ func TestCollectRecoversFromPanickingWorkload(t *testing.T) {
 		!strings.Contains(ds.Dropped[0], "panicked") {
 		t.Fatalf("dropped record = %v, want one panicker entry", ds.Dropped)
 	}
-	if got := atomic.LoadInt32(&attempts); got != 3 {
-		t.Fatalf("panicking run attempted %d times, want 1 + 2 retries", got)
-	}
-}
-
-func TestCollectRetrySucceedsWithFreshSeed(t *testing.T) {
-	var attempts int32
-	progs := []workload.Program{
-		&panicProg{after: 5_000, failures: 1, attempts: &attempts}, // first attempt only
-	}
-	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(progs, cfg)
-	if len(ds.Dropped) != 0 {
-		t.Fatalf("recovered run still dropped: %v", ds.Dropped)
-	}
-	if len(ds.Samples) == 0 {
-		t.Fatalf("retried run produced no samples")
-	}
-	if got := atomic.LoadInt32(&attempts); got != 2 {
-		t.Fatalf("attempts = %d, want 2 (panic, then success)", got)
-	}
-}
-
-// TestCollectBackoffMaxAttemptsHonored: with Retries unset, a caller-supplied
-// Backoff.MaxAttempts used to be unconditionally overwritten to Retries+1 = 1,
-// silently disabling the caller's retries. It must govern the attempt budget.
-func TestCollectBackoffMaxAttemptsHonored(t *testing.T) {
-	var attempts int32
-	progs := []workload.Program{
-		&panicProg{after: 5_000, failures: 1, attempts: &attempts},
-	}
-	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1,
-		Backoff: retry.Policy{Base: time.Millisecond, Max: 2 * time.Millisecond,
-			Factor: 2, MaxAttempts: 3}}
-	ds := Collect(progs, cfg)
-	if len(ds.Dropped) != 0 {
-		t.Fatalf("run that recovered on its Backoff-granted retry was dropped: %v", ds.Dropped)
-	}
-	if got := atomic.LoadInt32(&attempts); got != 2 {
-		t.Fatalf("attempts = %d, want 2 (panic, then Backoff-granted retry)", got)
-	}
-
-	// Explicit Retries still wins over the policy's own attempt cap.
-	attempts = 0
-	cfg.Retries = 2
-	cfg.Backoff.MaxAttempts = 1
-	ds = Collect([]workload.Program{
-		&panicProg{after: 5_000, failures: 1, attempts: &attempts},
-	}, cfg)
-	if len(ds.Dropped) != 0 {
-		t.Fatalf("Retries-granted retry was dropped: %v", ds.Dropped)
-	}
-
-	// And the all-defaults case keeps meaning exactly one attempt.
-	attempts = 0
-	ds = Collect([]workload.Program{
-		&panicProg{after: 5_000, failures: 99, attempts: &attempts},
-	}, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})
-	if len(ds.Dropped) != 1 {
-		t.Fatalf("dropped = %v, want the single failed attempt recorded", ds.Dropped)
-	}
 	if got := atomic.LoadInt32(&attempts); got != 1 {
-		t.Fatalf("attempts = %d, want 1 with no retries configured", got)
+		t.Fatalf("panicking run attempted %d times, want exactly 1", got)
+	}
+	if sum := ds.Summary(); !strings.Contains(sum, "(1 runs dropped)") {
+		t.Fatalf("Summary does not surface the dropped run: %q", sum)
 	}
 }
 
@@ -157,14 +95,15 @@ func (endless) Stream(_ *rand.Rand) isa.Stream { return &plainStream{} }
 
 func TestCollectTimeoutCutsRunawayRun(t *testing.T) {
 	cfg := CollectConfig{
-		MaxInsts: 1 << 62, // effectively unbounded: only the timeout stops it
+		MaxInsts: 1 << 62, // effectively unbounded: only the deadline stops it
 		Interval: 10_000,
 		Seed:     1,
 		Runs:     1,
-		Timeout:  100 * time.Millisecond,
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	ds := Collect([]workload.Program{endless{}}, cfg)
+	ds := CollectCtx(ctx, []workload.Program{endless{}}, cfg)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("timeout did not bound the run (%v elapsed)", elapsed)
 	}
@@ -184,32 +123,6 @@ func TestCollectCtxCancelStopsScheduling(t *testing.T) {
 	}
 	if len(ds.Dropped) != 4 {
 		t.Fatalf("dropped %d runs, want all 4: %v", len(ds.Dropped), ds.Dropped)
-	}
-}
-
-// TestCollectRetryRecordsBackoffTelemetry pins the shared retry helper's
-// accounting: a collection that retries must show up under op="collect" in
-// the attempt counter and the backoff-sleep histogram.
-func TestCollectRetryRecordsBackoffTelemetry(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
-	attemptSeries := telemetry.Name("perspectron_retry_attempts_total", "op", "collect")
-	before := reg.CounterValue(attemptSeries)
-
-	var attempts int32
-	progs := []workload.Program{&panicProg{after: 5_000, failures: 1, attempts: &attempts}}
-	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(progs, cfg)
-	if ds.Retried != 1 {
-		t.Fatalf("Retried = %d, want 1", ds.Retried)
-	}
-	if got := reg.CounterValue(attemptSeries); got != before+2 {
-		t.Fatalf("retry attempt counter advanced by %d, want 2", got-before)
-	}
-	h := reg.Histogram(telemetry.Name("perspectron_retry_backoff_seconds", "op", "collect"),
-		telemetry.DurationBuckets)
-	if h.Count() == 0 {
-		t.Fatalf("no backoff sleep recorded")
 	}
 }
 

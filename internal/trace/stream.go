@@ -42,9 +42,9 @@ type RunSource struct {
 // be fully configured (detectors resolved, fault schedules attached) before
 // the call; it is driven from a background goroutine until the source is
 // drained or closed. run tags the produced samples' Run field; seed drives
-// the workload's data-dependent behaviour. A cfg.Timeout or cancellable ctx
-// bounds the run's wall clock as in Collect. A panicking workload ends the
-// stream early and surfaces through Err.
+// the workload's data-dependent behaviour. Once a cancellable ctx ends, the
+// run stops at its next instruction fetch, as in Collect. A panicking
+// workload ends the stream early and surfaces through Err.
 func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, run int, seed int64, cfg CollectConfig) *RunSource {
 	src := &RunSource{
 		ch:       make(chan *Sample),
@@ -65,8 +65,8 @@ func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, ru
 		src.mu.Lock()
 		src.stream = stream
 		src.mu.Unlock()
-		if cfg.Timeout > 0 || ctx.Done() != nil {
-			stream = boundStream(ctx, stream, cfg.Timeout)
+		if ctx.Done() != nil {
+			stream = &boundedStream{ctx: ctx, inner: stream}
 		}
 		m.RunStream(stream, cfg.MaxInsts, cfg.Interval, func(idx int, v []float64) bool {
 			s := &Sample{

@@ -2,35 +2,16 @@ package trace
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"perspectron/internal/telemetry"
 	"perspectron/internal/workload"
 )
 
-func TestCollectCountsRetries(t *testing.T) {
-	var attempts int32
-	progs := []workload.Program{
-		&panicProg{after: 5_000, failures: 1, attempts: &attempts},
-	}
-	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(progs, cfg)
-	if ds.Retried != 1 {
-		t.Errorf("Retried = %d, want 1 (one panic absorbed)", ds.Retried)
-	}
-	if len(ds.Dropped) != 0 {
-		t.Errorf("Dropped = %v, want none", ds.Dropped)
-	}
-	if sum := ds.Summary(); !strings.Contains(sum, "1 runs retried, 0 dropped") {
-		t.Errorf("Summary does not surface retries: %q", sum)
-	}
-}
-
 func TestSummaryOmitsHealthWhenClean(t *testing.T) {
 	ds := &Dataset{Interval: 10_000}
-	if sum := ds.Summary(); strings.Contains(sum, "retried") {
-		t.Errorf("clean Summary mentions retries: %q", sum)
+	if sum := ds.Summary(); strings.Contains(sum, "dropped") {
+		t.Errorf("clean Summary mentions dropped runs: %q", sum)
 	}
 }
 
@@ -40,10 +21,8 @@ func TestCollectRecordsTelemetry(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
 
 	var attempts int32
-	progs := []workload.Program{
-		&panicProg{after: 5_000, failures: 99, attempts: &attempts}, // always drops
-	}
-	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 1}
+	progs := []workload.Program{&panicProg{after: 5_000, attempts: &attempts}}
+	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1}
 	ds := Collect(progs, cfg)
 	if len(ds.Dropped) != 1 {
 		t.Fatalf("Dropped = %v, want 1", ds.Dropped)
@@ -54,9 +33,6 @@ func TestCollectRecordsTelemetry(t *testing.T) {
 	if got := reg.CounterValue("perspectron_collect_runs_dropped_total"); got != 1 {
 		t.Errorf("dropped counter = %d, want 1", got)
 	}
-	if got := reg.CounterValue("perspectron_collect_run_retries_total"); got != 1 {
-		t.Errorf("retries counter = %d, want 1", got)
-	}
 	name := telemetry.Name("perspectron_collect_run_seconds", "workload", "panicker")
 	if got := reg.Histogram(name, telemetry.DurationBuckets).Count(); got != 1 {
 		t.Errorf("per-workload run-seconds observations = %d, want 1", got)
@@ -66,5 +42,4 @@ func TestCollectRecordsTelemetry(t *testing.T) {
 	if got := reg.Histogram(phase, telemetry.DurationBuckets).Count(); got != 1 {
 		t.Errorf("collect phase observations = %d, want 1", got)
 	}
-	_ = atomic.LoadInt32(&attempts)
 }

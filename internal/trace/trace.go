@@ -14,7 +14,6 @@ import (
 
 	"perspectron/internal/encoding"
 	"perspectron/internal/isa"
-	"perspectron/internal/retry"
 	"perspectron/internal/sim"
 	"perspectron/internal/stats"
 	"perspectron/internal/telemetry"
@@ -39,15 +38,10 @@ type Dataset struct {
 	Interval     uint64
 	Samples      []Sample
 
-	// Dropped lists runs Collect abandoned ("program#run: reason"): panics
-	// that persisted through every retry, or runs cancelled/timed out before
-	// producing a single sample. Training proceeds on the surviving runs.
+	// Dropped lists runs Collect abandoned ("program#run: reason"): runs
+	// whose workload panicked, or runs cancelled before producing a single
+	// sample. Training proceeds on the surviving runs.
 	Dropped []string
-
-	// Retried counts run attempts that panicked and were re-attempted with a
-	// fresh seed. Nonzero Retried with empty Dropped means the fault shield
-	// absorbed every failure.
-	Retried int
 }
 
 // NumFeatures returns the feature-space width.
@@ -96,31 +90,7 @@ type CollectConfig struct {
 	Interval uint64 // sampling granularity (10K/50K/100K)
 	Seed     int64
 	Runs     int // independent runs (seeds) per program
-	Parallel int // worker goroutines; 0 = GOMAXPROCS
-
-	// Timeout bounds each program run's wall-clock time; the run's stream
-	// is cut off at the deadline and whatever samples it produced are kept.
-	// 0 means no per-run limit.
-	Timeout time.Duration
-	// Retries is the number of extra attempts (with fresh derived seeds)
-	// granted to a run whose workload panics, so one bad run cannot sink a
-	// whole training job. Runs that still fail are recorded in
-	// Dataset.Dropped.
-	Retries int
-	// Backoff shapes the sleep between retry attempts (the shared
-	// internal/retry jittered-exponential helper; sequences are seeded from
-	// cfg.Seed, so a fixed config replays the same schedule). The zero value
-	// uses collectBackoff, a millisecond-scale policy that keeps retried
-	// collections fast. When Retries is set it governs the attempt count
-	// (Retries+1 total tries); with Retries == 0 a caller-supplied
-	// Backoff.MaxAttempts is honored as-is.
-	Backoff retry.Policy
 }
-
-// collectBackoff is the default retry pacing for panicked collection runs:
-// short, capped sleeps so a transient data-dependent fault is re-rolled
-// almost immediately while correlated failures still spread out.
-var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2, Jitter: 0.5}
 
 // Collect runs every program on a fresh machine per run and gathers the
 // sampled counter deltas. Collection is deterministic for a fixed config
@@ -131,9 +101,8 @@ func Collect(progs []workload.Program, cfg CollectConfig) *Dataset {
 
 // CollectCtx is Collect under a context: cancelling ctx stops scheduling new
 // runs and cuts off in-flight ones at their next instruction fetch. Each run
-// is additionally shielded — a panicking workload is retried cfg.Retries
-// times with fresh seeds and then dropped (recorded in Dataset.Dropped)
-// instead of killing the collection.
+// is additionally shielded — a panicking workload is dropped (recorded in
+// Dataset.Dropped) instead of killing the collection.
 func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig) *Dataset {
 	reg := telemetry.Get()
 	ctx, span := reg.StartSpan(ctx, "collect")
@@ -158,20 +127,15 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 	}
 
 	results := make([][]Sample, len(jobs))
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var wg sync.WaitGroup
-	var mu sync.Mutex // guards ds.Dropped and retried
-	retried := 0
+	var mu sync.Mutex // guards ds.Dropped
 	drop := func(j job, reason string) {
 		mu.Lock()
 		ds.Dropped = append(ds.Dropped, fmt.Sprintf("%s#%d: %s", j.prog.Info().Name, j.run, reason))
 		mu.Unlock()
 	}
 	ch := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -181,36 +145,11 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 					drop(j, "cancelled before start")
 					continue
 				}
-				var out []Sample
 				var start time.Time
 				if reg != nil {
 					start = time.Now()
 				}
-				pol := cfg.Backoff
-				if pol == (retry.Policy{}) {
-					pol = collectBackoff
-				}
-				// Retries governs the attempt budget when set; otherwise a
-				// caller-supplied Backoff.MaxAttempts survives (overwriting it
-				// unconditionally used to silently disable those retries).
-				if cfg.Retries > 0 || pol.MaxAttempts <= 0 {
-					pol.MaxAttempts = cfg.Retries + 1
-				}
-				attempts, err := retry.Do(ctx, "collect", pol, cfg.Seed*1_000_003+int64(ji),
-					func(attempt int) error {
-						// Attempt 0 reproduces the historical seed schedule
-						// exactly; retries shift it so a data-dependent panic
-						// is not replayed verbatim.
-						seed := cfg.Seed*1_000_003 + int64(ji)*7919 + int64(attempt)*104_729
-						var aerr error
-						out, aerr = collectOne(ctx, j.prog, j.run, seed, cfg)
-						return aerr
-					})
-				if attempts > 1 {
-					mu.Lock()
-					retried += attempts - 1
-					mu.Unlock()
-				}
+				out, err := collectOne(ctx, j.prog, j.run, cfg.Seed*1_000_003+int64(ji)*7919, cfg)
 				if reg != nil {
 					name := telemetry.Name("perspectron_collect_run_seconds",
 						"workload", j.prog.Info().Name)
@@ -238,10 +177,8 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 	for _, r := range results {
 		ds.Samples = append(ds.Samples, r...)
 	}
-	ds.Retried = retried
 	if reg != nil {
 		reg.Counter("perspectron_collect_runs_total").Add(uint64(len(jobs)))
-		reg.Counter("perspectron_collect_run_retries_total").Add(uint64(ds.Retried))
 		reg.Counter("perspectron_collect_runs_dropped_total").Add(uint64(len(ds.Dropped)))
 		reg.Counter("perspectron_collect_samples_total").Add(uint64(len(ds.Samples)))
 	}
@@ -250,8 +187,7 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 
 // collectOne executes a single program run by draining its sample stream —
 // the same per-sample path the online Monitor scores — converting workload
-// panics into errors and bounding wall-clock time via the config timeout /
-// context.
+// panics into errors and stopping early when ctx ends.
 func collectOne(ctx context.Context, prog workload.Program, run int, seed int64, cfg CollectConfig) ([]Sample, error) {
 	m := sim.NewMachine(sim.DefaultConfig())
 	src := NewRunSource(ctx, m, prog, run, seed, cfg)
@@ -262,22 +198,13 @@ func collectOne(ctx context.Context, prog workload.Program, run int, seed int64,
 	return out, nil
 }
 
-// boundedStream ends the wrapped op stream when its deadline passes or its
-// context is cancelled, checking every 1024 ops to keep the hot path cheap.
+// boundedStream ends the wrapped op stream when its context is cancelled,
+// checking every 1024 ops to keep the hot path cheap.
 type boundedStream struct {
-	ctx      context.Context
-	inner    isa.Stream
-	deadline time.Time // zero = none
-	n        uint32
-	done     bool
-}
-
-func boundStream(ctx context.Context, inner isa.Stream, timeout time.Duration) *boundedStream {
-	s := &boundedStream{ctx: ctx, inner: inner}
-	if timeout > 0 {
-		s.deadline = time.Now().Add(timeout)
-	}
-	return s
+	ctx   context.Context
+	inner isa.Stream
+	n     uint32
+	done  bool
 }
 
 // Next implements isa.Stream.
@@ -286,11 +213,9 @@ func (s *boundedStream) Next() (isa.Op, bool) {
 		return isa.Op{}, false
 	}
 	s.n++
-	if s.n&1023 == 0 {
-		if s.ctx.Err() != nil || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
-			s.done = true
-			return isa.Op{}, false
-		}
+	if s.n&1023 == 0 && s.ctx.Err() != nil {
+		s.done = true
+		return isa.Op{}, false
 	}
 	return s.inner.Next()
 }
@@ -434,13 +359,13 @@ func ProjectPacked(X []encoding.BitVec, idx []int) []encoding.BitVec {
 }
 
 // Summary returns a one-line description of the dataset, including the
-// collection-health tallies when anything was retried or dropped.
+// count of dropped runs when there are any.
 func (d *Dataset) Summary() string {
 	b, m := d.ClassCounts()
 	out := fmt.Sprintf("%d samples (%d benign, %d malicious), %d features, interval %d",
 		len(d.Samples), b, m, d.NumFeatures(), d.Interval)
-	if d.Retried > 0 || len(d.Dropped) > 0 {
-		out += fmt.Sprintf(" (%d runs retried, %d dropped)", d.Retried, len(d.Dropped))
+	if len(d.Dropped) > 0 {
+		out += fmt.Sprintf(" (%d runs dropped)", len(d.Dropped))
 	}
 	return out
 }
