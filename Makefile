@@ -8,13 +8,8 @@ BENCH ?= .
 # five samples per arm, the minimum benchjson accepts for BENCH_hotpath.json
 # (single-iteration numbers are noise).
 HOTPATH_BENCHTIME ?= 5x
-# BENCH_HISTORY, when non-empty, makes each bench artifact also append a
-# timestamped JSONL line to this trajectory file (scripts/bench_append.sh
-# sets it), so perf history accumulates instead of being overwritten.
-BENCH_HISTORY ?=
-BENCH_APPEND = $(if $(BENCH_HISTORY),-append $(BENCH_HISTORY),)
 
-.PHONY: ci vet build test race bench bench-hotpath bench-select bench-history smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
+.PHONY: ci vet build test race bench bench-hotpath bench-select smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
 
 # ci is the gate for every PR: static analysis, a full build, and the test
 # suite under the race detector (trace.Collect, feature selection and the
@@ -55,16 +50,18 @@ smoke-chaos:
 
 # bench runs the root-package benchmarks plus the telemetry micro-benchmarks
 # with -benchmem, tees the text log to bench.out, and converts it into the
-# machine-readable BENCH_telemetry.json artifact. It then runs the hot-path
+# machine-readable bench_telemetry.json report. It then runs the hot-path
 # kernel benchmarks (dense/serial baseline vs packed/parallel, see
 # docs/PERFORMANCE.md) into the BENCH_hotpath.json baseline, and the serve
-# saturation benchmark (1k+ concurrent streams vs p99 verdict latency and
-# shed rate, see docs/SERVICE.md) into BENCH_serve.json.
+# saturation benchmark (1k+ concurrent streams over replayed samples vs p99
+# verdict latency and shed rate, see docs/SERVICE.md) into bench_serve.json.
+# The lower-case reports are fresh, uncommitted runs; a BENCH_*.json file is
+# a committed baseline.
 bench: bench-hotpath
 	$(GO) test -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -run '^$$' . ./internal/telemetry | tee bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_telemetry.json $(BENCH_APPEND)
+	$(GO) run ./cmd/benchjson -in bench.out -out bench_telemetry.json
 	$(GO) test -bench '^BenchmarkServe(Saturation|ForensicsOverhead)$$' -benchtime $(BENCHTIME) -run '^$$' ./internal/serve | tee bench_serve.out
-	$(GO) run ./cmd/benchjson -in bench_serve.out -out BENCH_serve.json $(BENCH_APPEND)
+	$(GO) run ./cmd/benchjson -in bench_serve.out -out bench_serve.json
 
 # bench-hotpath regenerates BENCH_hotpath.json with enough samples per arm
 # (-min-iters 5) that the artifact is trustworthy enough to gate on.
@@ -72,7 +69,7 @@ bench: bench-hotpath
 # BenchmarkFit with its dense reference loop in internal/perceptron.
 bench-hotpath:
 	$(GO) test -bench '^Benchmark(Select|Fit|CrossValidate)$$' -benchmem -benchtime $(HOTPATH_BENCHTIME) -run '^$$' . ./internal/features ./internal/perceptron | tee bench_hotpath.out
-	$(GO) run ./cmd/benchjson -in bench_hotpath.out -out BENCH_hotpath.json -min-iters 5 $(BENCH_APPEND)
+	$(GO) run ./cmd/benchjson -in bench_hotpath.out -out BENCH_hotpath.json -min-iters 5
 
 # bench-select is the selection-regression guard (CI-gated): run the Select
 # benchmark fresh on the code under test and fail if the parallel-packed arm
@@ -82,12 +79,6 @@ bench-select:
 	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' ./internal/features | \
 		$(GO) run ./cmd/benchjson -min-iters 5 \
 		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense' -out /dev/null
-
-# bench-history is `make bench` plus the timestamped trajectory: every run
-# appends one JSONL line per artifact to BENCH_history.jsonl (see
-# scripts/bench_append.sh).
-bench-history:
-	bash scripts/bench_append.sh
 
 # smoke-shadow runs a miniature continual-learning loop end to end under the
 # race detector: train a seed model, serve it, shadow-retrain and promote

@@ -43,10 +43,17 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 		return nil, fmt.Errorf("perspectron: no training workloads")
 	}
 	ds := corpus.Default().Dataset(workloads, opts.CollectConfig())
-	enc := trace.NewEncoder(ds)
-	// The bank trains on bit-packed k-sparse rows; weights are bit-identical
-	// to the dense float path (internal/perceptron packed tests).
-	X, _ := enc.PackedBinaryMatrix(ds)
+	// Every feature is its own slot, so the global column of M is already
+	// slot-indexed.
+	c := &Classifier{
+		FeatureNames: ds.FeatureNames,
+		Interval:     opts.Interval,
+		GlobalMax:    trace.NewEncoder(ds).M.GlobalMax,
+	}
+	// The bank trains on the bit-packed rows it will serve: the classifier
+	// keeps only global maxima, so its training rows are encoded under that
+	// same global-only encoding, not the per-point one M also holds.
+	X, _ := (&trace.Encoder{M: c.encoding()}).PackedBinaryMatrix(ds)
 
 	labelOf := func(s *trace.Sample) string {
 		if s.Label == workload.Benign {
@@ -61,8 +68,8 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 		classSet[labels[i]] = true
 	}
 	var classes []string
-	for c := range classSet {
-		classes = append(classes, c)
+	for class := range classSet {
+		classes = append(classes, class)
 	}
 	sort.Strings(classes)
 	if len(classes) < 2 {
@@ -74,15 +81,7 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 	mc := perceptron.NewMultiClass(classes, ds.NumFeatures(), pcfg)
 	mc.FitPacked(X, labels)
 
-	c := &Classifier{
-		Classes:      classes,
-		FeatureNames: ds.FeatureNames,
-		Interval:     opts.Interval,
-		GlobalMax:    make([]float64, ds.NumFeatures()),
-	}
-	for j := 0; j < ds.NumFeatures(); j++ {
-		c.GlobalMax[j] = enc.M.GlobalMax(j)
-	}
+	c.Classes = classes
 	for _, det := range mc.Detectors {
 		c.Weights = append(c.Weights, det.W)
 		c.Biases = append(c.Biases, det.Bias)
@@ -290,10 +289,5 @@ func (c *Classifier) validate() error {
 			return fmt.Errorf("non-finite bias for class %q", c.Classes[ci])
 		}
 	}
-	for i, m := range c.GlobalMax {
-		if !finite(m) {
-			return fmt.Errorf("non-finite global max for feature %q", c.FeatureNames[i])
-		}
-	}
-	return nil
+	return c.encoding().Validate()
 }

@@ -3,17 +3,28 @@ package perspectron
 import (
 	"bytes"
 	"testing"
+
+	"perspectron/internal/corpus"
+	"perspectron/internal/encoding"
+	"perspectron/internal/perceptron"
+	"perspectron/internal/sim"
+	"perspectron/internal/workload"
 )
 
 var cachedClassifier *Classifier
 
+// sharedClassifierOptions are the options sharedClassifier trains with.
+func sharedClassifierOptions() Options {
+	opts := DefaultOptions()
+	opts.MaxInsts = 150_000
+	opts.Runs = 1
+	return opts
+}
+
 func sharedClassifier(t *testing.T) *Classifier {
 	t.Helper()
 	if cachedClassifier == nil {
-		opts := DefaultOptions()
-		opts.MaxInsts = 150_000
-		opts.Runs = 1
-		c, err := TrainClassifier(TrainingWorkloads(), opts)
+		c, err := TrainClassifier(TrainingWorkloads(), sharedClassifierOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,6 +46,43 @@ func TestClassifierClasses(t *testing.T) {
 	}
 	if !hasBenign {
 		t.Fatalf("no benign class")
+	}
+}
+
+// TestClassifierTrainsOnServedBits: every training row of the classifier is
+// the bit set it serves, BitsPacked under its own global-only encoding over
+// the slot map its scorer resolves on a machine. Refitting the bank on
+// those rows must reproduce the trained weights bit for bit.
+func TestClassifierTrainsOnServedBits(t *testing.T) {
+	c := sharedClassifier(t)
+	opts := sharedClassifierOptions()
+	ds := corpus.Default().Dataset(TrainingWorkloads(), opts.CollectConfig())
+	idx, _ := resolveNames(c.FeatureNames, sim.NewMachine(sim.DefaultConfig()))
+	enc := c.encoding()
+	X := make([]encoding.BitVec, len(ds.Samples))
+	labels := make([]string, len(ds.Samples))
+	for i := range ds.Samples {
+		s := &ds.Samples[i]
+		X[i], _ = enc.BitsPacked(s.Raw, idx, s.Index, nil)
+		labels[i] = s.Category
+		if s.Label == workload.Benign {
+			labels[i] = "benign"
+		}
+	}
+	pcfg := perceptron.DefaultConfig()
+	pcfg.Seed = opts.Seed
+	mc := perceptron.NewMultiClass(c.Classes, len(c.FeatureNames), pcfg)
+	mc.FitPacked(X, labels)
+	for ci, det := range mc.Detectors {
+		if det.Bias != c.Biases[ci] {
+			t.Fatalf("class %s: bias %v, refit on served bits %v", c.Classes[ci], c.Biases[ci], det.Bias)
+		}
+		for j, w := range det.W {
+			if w != c.Weights[ci][j] {
+				t.Fatalf("class %s feature %s: weight %v, refit on served bits %v",
+					c.Classes[ci], c.FeatureNames[j], c.Weights[ci][j], w)
+			}
+		}
 	}
 }
 

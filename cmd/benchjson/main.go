@@ -32,7 +32,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Result is one parsed benchmark line.
@@ -45,9 +44,6 @@ type Result struct {
 
 // Report is the emitted JSON document.
 type Report struct {
-	// Time stamps the run (RFC 3339, UTC) — set only on history lines
-	// written via -append, so the trajectory file is self-dating.
-	Time       string   `json:"time,omitempty"`
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
 	Pkg        string   `json:"pkg,omitempty"`
@@ -58,7 +54,6 @@ type Report struct {
 func main() {
 	in := flag.String("in", "-", "benchmark text input file (- for stdin)")
 	out := flag.String("out", "-", "JSON output file (- for stdout)")
-	appendTo := flag.String("append", "", "also append the report as one timestamped JSONL line to this history file")
 	minIters := flag.Int64("min-iters", 0, "fail if any benchmark ran fewer iterations (0: warn on 1-iteration entries only)")
 	faster := flag.String("require-faster", "", "comma-separated 'A<B' pairs; fail unless ns/op of A is strictly below B")
 	flag.Parse()
@@ -100,12 +95,6 @@ func main() {
 	}
 	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
-	}
-	if *appendTo != "" {
-		if err := appendHistory(*appendTo, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: appended run to %s\n", *appendTo)
 	}
 }
 
@@ -162,20 +151,6 @@ func checkFaster(rep *Report, spec string) error {
 			strings.TrimSpace(a), va, strings.TrimSpace(b), vb, vb/va)
 	}
 	return nil
-}
-
-// appendHistory appends the report as one compact, timestamped JSON line, so
-// repeated bench runs accumulate a trajectory instead of overwriting the
-// snapshot artifact.
-func appendHistory(path string, rep *Report) error {
-	line := *rep
-	line.Time = time.Now().UTC().Format(time.RFC3339)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return json.NewEncoder(f).Encode(&line)
 }
 
 func fatal(err error) {

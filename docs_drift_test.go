@@ -11,11 +11,11 @@ package perspectron
 // delete the row when you delete it.
 //
 // The same guard covers bench artifacts: every BenchmarkX/arm named in a
-// docs/PERFORMANCE.md table row or in the committed BENCH_hotpath.json or
-// BENCH_serve.json must still exist as a func BenchmarkX in some _test.go
-// file of this module, with a Run("arm", ...) call in its body.
-// BENCH_history.jsonl is left out on purpose: it is a record of past runs,
-// and names in it may belong to benchmarks that have since been removed.
+// docs/PERFORMANCE.md table row or in a committed root BENCH_*.json
+// baseline must still exist as a func BenchmarkX in some _test.go file of
+// this module, with a Run("arm", ...) call in its body. Every baseline row
+// must have run at least 5 iterations, and every BENCH_*.json that
+// docs/*.md, README.md, the Makefile or CI names must exist in the tree.
 
 import (
 	"encoding/json"
@@ -110,7 +110,14 @@ func TestMetricCatalogueMatchesCode(t *testing.T) {
 	}
 }
 
-var docBenchRe = regexp.MustCompile(`Benchmark[A-Za-z0-9_]+(/[A-Za-z0-9_.=-]+)?`)
+var (
+	docBenchRe  = regexp.MustCompile(`Benchmark[A-Za-z0-9_]+(/[A-Za-z0-9_.=-]+)?`)
+	benchFileRe = regexp.MustCompile(`\bBENCH_[A-Za-z0-9_]+\.json\b`)
+)
+
+// minBaselineIters is the fewest iterations a committed baseline row may
+// report: a single run carries no spread and is noise.
+const minBaselineIters = 5
 
 // moduleBenchArms maps every Benchmark function declared in this module's
 // _test.go files to the set of string-literal names its body passes to Run.
@@ -201,24 +208,53 @@ func TestBenchNamesMatchCode(t *testing.T) {
 		t.Fatal("no Benchmark rows found in docs/PERFORMANCE.md tables — the extractor is broken")
 	}
 
-	for _, file := range []string{"BENCH_hotpath.json", "BENCH_serve.json"} {
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no committed BENCH_*.json baseline found")
+	}
+	for _, file := range files {
 		artBytes, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var art struct {
 			Benchmarks []struct {
-				Name string `json:"name"`
+				Name       string `json:"name"`
+				Iterations int64  `json:"iterations"`
 			} `json:"benchmarks"`
 		}
 		if err := json.Unmarshal(artBytes, &art); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", file, err)
 		}
 		if len(art.Benchmarks) == 0 {
 			t.Fatalf("%s lists no benchmarks", file)
 		}
 		for _, b := range art.Benchmarks {
 			named[b.Name] = append(named[b.Name], file)
+			if b.Iterations < minBaselineIters {
+				t.Errorf("%s: %s ran %d iterations, a committed baseline needs >= %d",
+					file, b.Name, b.Iterations, minBaselineIters)
+			}
+		}
+	}
+
+	// Every baseline the docs, the Makefile or CI cite must be in the tree.
+	citers, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range append(citers, "README.md", "Makefile", ".github/workflows/ci.yml") {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cited := range benchFileRe.FindAllString(string(text), -1) {
+			if _, err := os.Stat(cited); err != nil {
+				t.Errorf("%s cites %s, which is not in the tree", file, cited)
+			}
 		}
 	}
 

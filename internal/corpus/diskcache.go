@@ -42,7 +42,7 @@ func (s *Store) path(dir, key string) string {
 const orphanTmpAge = time.Hour
 
 // SweepOrphans removes temp files abandoned by failed atomic writes —
-// "<key>.tmp-<rand>" debris a crashed process left next to the artifacts.
+// "<artifact>.tmp-<rand>" debris a crashed process left next to the artifacts.
 // Only files older than orphanTmpAge go; a temp file younger than that may
 // be a live concurrent writer's. It returns the number removed. SetCacheDir
 // runs a sweep automatically; long-running services may call it
@@ -130,48 +130,37 @@ func (s *Store) load(ctx context.Context, dir, key string) (ds *trace.Dataset, b
 	return a.Dataset, bytesRead
 }
 
-// save writes the dataset atomically (temp file + fsync + rename + directory
-// fsync, matching the checkpoint path's durability discipline) so a crashed
-// or concurrent writer never leaves a torn artifact behind — and a completed
+// save writes the dataset through diskfaults.WriteFileAtomic (temp file +
+// fsync + rename + directory fsync, site "corpus") so a crashed or
+// concurrent writer never leaves a torn artifact behind — and a completed
 // one survives power loss — returning the compressed bytes persisted.
 // Failures — including a ctx cancelled mid-write or an injected disk fault
-// (site "corpus") — are silent (returning 0) and leave no temp file: the
-// disk cache is an accelerator, not a source of truth.
+// — are silent (returning 0) and leave no temp file: the disk cache is an
+// accelerator, not a source of truth.
 func (s *Store) save(ctx context.Context, dir, key string, ds *trace.Dataset) (bytesWritten int64) {
 	if ctx.Err() != nil {
 		return 0
 	}
-	rawTmp, err := os.CreateTemp(dir, key+".tmp-*")
+	path := s.path(dir, key)
+	err := diskfaults.WriteFileAtomic(diskfaults.SiteCorpus, path, func(w io.Writer) error {
+		zw := gzip.NewWriter(ctxWriter{ctx, w})
+		err := gob.NewEncoder(zw).Encode(artifact{Format: diskFormat, Key: key, Dataset: ds})
+		if cerr := zw.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = ctx.Err()
+		}
+		return err
+	})
 	if err != nil {
 		return 0
 	}
-	tmp := diskfaults.WrapFile(diskfaults.SiteCorpus, rawTmp)
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	zw := gzip.NewWriter(ctxWriter{ctx, tmp})
-	err = gob.NewEncoder(zw).Encode(artifact{Format: diskFormat, Key: key, Dataset: ds})
-	if cerr := zw.Close(); err == nil {
-		err = cerr
-	}
-	if serr := tmp.Sync(); err == nil {
-		err = serr
-	}
-	var size int64
-	if st, serr := rawTmp.Stat(); serr == nil {
-		size = st.Size()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil || ctx.Err() != nil {
+	st, err := os.Stat(path)
+	if err != nil {
 		return 0
 	}
-	if diskfaults.Rename(diskfaults.SiteCorpus, tmp.Name(), s.path(dir, key)) != nil {
-		return 0
-	}
-	if diskfaults.SyncDir(diskfaults.SiteCorpus, dir) != nil {
-		return 0
-	}
-	return size
+	return st.Size()
 }
 
 // CacheFileName returns the file name a key is stored under — exposed so

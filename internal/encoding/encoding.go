@@ -7,7 +7,9 @@
 // counters, fault-masked values — the PR-1 degraded serving mode) degrades
 // gracefully instead of collapsing.
 //
-// The trace Encoder's training matrices use Scale and Binarize. The root
+// Encoding is the only holder of M, from the training corpus (Observe) to a
+// saved model (Slots) and back (Validate). The trace Encoder's training
+// matrices use Scale and Binarize, and its packed rows BitsPacked. The root
 // package's RawScorer, the one per-sample scoring path behind the Detector
 // and the Classifier, uses BitsPacked and MarginPacked. RawNorm, the fired-bit
 // accumulation under MarginPacked, is also the forward pass of every
@@ -20,6 +22,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -90,6 +93,51 @@ func (e *Encoding) Max(i, point int) float64 {
 		}
 	}
 	return e.GlobalMax[i]
+}
+
+// modelPoints caps the per-point rows Slots copies into a model, bounding
+// the size of a saved detector; later points normalize by the global column.
+const modelPoints = 64
+
+// Slots copies the maxima onto a model's feature slots: slot i takes
+// feature indices[i]. GlobalMax is copied by index; PerPoint holds, for
+// each of the first min(NumPoints, 64) execution points, the resolved
+// Max(indices[i], point), and is nil when no point was observed.
+func (e *Encoding) Slots(indices []int) *Encoding {
+	out := &Encoding{GlobalMax: make([]float64, len(indices))}
+	for i, j := range indices {
+		out.GlobalMax[i] = e.GlobalMax[j]
+	}
+	for pt := 0; pt < min(len(e.PerPoint), modelPoints); pt++ {
+		row := make([]float64, len(indices))
+		for i, j := range indices {
+			row[i] = e.Max(j, pt)
+		}
+		out.PerPoint = append(out.PerPoint, row)
+	}
+	return out
+}
+
+// Validate reports the first fault in maxima loaded from outside the
+// program: a PerPoint row narrower or wider than GlobalMax, or a non-finite
+// entry.
+func (e *Encoding) Validate() error {
+	for i, m := range e.GlobalMax {
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			return fmt.Errorf("non-finite global max in slot %d", i)
+		}
+	}
+	for p, row := range e.PerPoint {
+		if len(row) != len(e.GlobalMax) {
+			return fmt.Errorf("point-max row %d has width %d, want %d", p, len(row), len(e.GlobalMax))
+		}
+		for i, m := range row {
+			if math.IsNaN(m) || math.IsInf(m, 0) {
+				return fmt.Errorf("non-finite point max at (%d, slot %d)", p, i)
+			}
+		}
+	}
+	return nil
 }
 
 // Scale normalizes sample vec taken at execution point point into [0,1] per
@@ -167,6 +215,16 @@ func (e *Encoding) BitsPacked(raw []float64, indices []int, point int, dst BitVe
 		}
 	}
 	return dst, avail
+}
+
+// Identity returns the identity slot map of width n: slot i reads raw
+// index i, the map a model over the whole feature space uses.
+func Identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // RawNorm is the perceptron kernel: the one accumulation behind serving,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func TestObserveAndMax(t *testing.T) {
@@ -37,6 +38,34 @@ func TestObserveAndMax(t *testing.T) {
 	defer func() { GlobalOnly = false }()
 	if e.Max(0, 0) != 6 {
 		t.Fatalf("GlobalOnly ignored the global column")
+	}
+}
+
+func TestSlots(t *testing.T) {
+	e := New(3)
+	if got := e.Slots([]int{2, 0}); got.PerPoint != nil || len(got.GlobalMax) != 2 {
+		t.Fatalf("no observed point: %+v, want two global slots and nil PerPoint", got)
+	}
+	run := [][]float64{{0, 2, 3}}
+	for len(run) < 70 {
+		run = append(run, []float64{1, 2, 3})
+	}
+	e.Observe(run)
+	e.Observe([][]float64{{0, 0, 9}, {5, 0, 0}})
+	got := e.Slots([]int{2, 0})
+	if got.GlobalMax[0] != 9 || got.GlobalMax[1] != 5 {
+		t.Fatalf("global slots = %v, want [9 5]", got.GlobalMax)
+	}
+	if len(got.PerPoint) != 64 {
+		t.Fatalf("point rows = %d, want 64 of %d observed", len(got.PerPoint), e.NumPoints())
+	}
+	// Feature 0 never fired at point 0, so that entry resolves to its
+	// global maximum.
+	want := [][]float64{{9, 5}, {3, 5}, {3, 1}}
+	for pt, row := range want {
+		if got.PerPoint[pt][0] != row[0] || got.PerPoint[pt][1] != row[1] {
+			t.Fatalf("point %d row = %v, want %v", pt, got.PerPoint[pt], row)
+		}
 	}
 }
 
@@ -255,11 +284,81 @@ func Margin(bias float64, w []float64, fired []bool) float64 {
 	return v
 }
 
-// Identity returns the identity slot→counter mapping of width n.
-func Identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+func TestMaxMatrixObserveAndScale(t *testing.T) {
+	m := New(2)
+	m.Observe([][]float64{{10, 0}, {20, 4}})
+	m.Observe([][]float64{{5, 2}, {40, 1}})
+	if m.NumPoints() != 2 {
+		t.Fatalf("points = %d", m.NumPoints())
 	}
-	return out
+	if m.Max(0, 0) != 10 || m.Max(0, 1) != 40 {
+		t.Fatalf("max col: %v %v", m.Max(0, 0), m.Max(0, 1))
+	}
+	// counter 1 at point 0: per-point max is 2.
+	if m.Max(1, 0) != 2 {
+		t.Fatalf("max(1,0) = %v", m.Max(1, 0))
+	}
+	// Unseen point falls back to global max.
+	if m.Max(0, 9) != 40 {
+		t.Fatalf("fallback max = %v", m.Max(0, 9))
+	}
+	scaled := m.Scale([]float64{5, 1}, 0, nil)
+	if scaled[0] != 0.5 || scaled[1] != 0.5 {
+		t.Fatalf("scaled = %v", scaled)
+	}
+	// Values above the recorded max clamp to 1.
+	scaled = m.Scale([]float64{100, 100}, 0, nil)
+	if scaled[0] != 1 || scaled[1] != 1 {
+		t.Fatalf("clamp failed: %v", scaled)
+	}
+}
+
+func TestBinarizeThreshold(t *testing.T) {
+	m := New(3)
+	m.Observe([][]float64{{10, 10, 0}})
+	bits := m.Binarize([]float64{5, 4.9, 0}, 0, nil)
+	if bits[0] != 1 || bits[1] != 0 || bits[2] != 0 {
+		t.Fatalf("bits = %v", bits)
+	}
+}
+
+// Property: binarized vectors contain only 0/1 and scaling is always within
+// [0,1], for arbitrary non-negative observations.
+func TestQuickBinarizeIsBinary(t *testing.T) {
+	f := func(raw []uint16, probe []uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		n := len(raw)
+		if len(probe) < n {
+			return true
+		}
+		m := New(n)
+		obs := make([]float64, n)
+		for i, v := range raw {
+			obs[i] = float64(v)
+		}
+		m.Observe([][]float64{obs})
+		p := make([]float64, n)
+		for i := 0; i < n; i++ {
+			p[i] = float64(probe[i])
+		}
+		scaled := m.Scale(p, 0, nil)
+		bits := m.Binarize(p, 0, nil)
+		for i := 0; i < n; i++ {
+			if scaled[i] < 0 || scaled[i] > 1 {
+				return false
+			}
+			if bits[i] != 0 && bits[i] != 1 {
+				return false
+			}
+			if (scaled[i] >= 0.5) != (bits[i] == 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -35,7 +35,7 @@ func trainPerSpectron(p *Prepared, threshold float64) *modelScorer {
 	Xp := trace.Project(X, p.Sel.Indices)
 	det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
 	det.Fit(Xp, y)
-	return &modelScorer{enc: enc, idx: p.Sel.Indices, binary: true,
+	return &modelScorer{enc: enc.M, idx: p.Sel.Indices, binary: true,
 		clf: det, threshold: threshold}
 }
 

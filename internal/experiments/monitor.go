@@ -3,9 +3,9 @@ package experiments
 import (
 	"math/rand"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/ml"
 	"perspectron/internal/sim"
-	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 )
 
@@ -44,10 +44,10 @@ func collectRuns(progs []workload.Program, cfg Config) []MonitoredRun {
 	return out
 }
 
-// modelScorer scores monitored runs with a trained classifier over an
-// encoder built from the training corpus.
+// modelScorer scores monitored runs with a trained classifier over the
+// maximum matrix built from the training corpus.
 type modelScorer struct {
-	enc       *trace.Encoder
+	enc       *encoding.Encoding
 	idx       []int // feature projection (nil = all)
 	binary    bool
 	clf       ml.Classifier
@@ -59,9 +59,9 @@ type modelScorer struct {
 func (s *modelScorer) scoreSample(raw []float64, j int) float64 {
 	var vec []float64
 	if s.binary {
-		vec = s.enc.BinarizeAt(raw, j)
+		vec = s.enc.Binarize(raw, j, nil)
 	} else {
-		vec = s.enc.ScaleAt(raw, j)
+		vec = s.enc.Scale(raw, j, nil)
 	}
 	if s.idx != nil {
 		p := make([]float64, len(s.idx))

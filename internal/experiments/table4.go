@@ -127,7 +127,7 @@ func Table4(cfg Config) *Table4Result {
 		}
 		clf := spec.mk(n)
 		clf.Fit(X, y)
-		sc := &modelScorer{enc: fullEnc, idx: idx, binary: spec.binary,
+		sc := &modelScorer{enc: fullEnc.M, idx: idx, binary: spec.binary,
 			clf: clf, threshold: spec.threshold}
 
 		row := Table4Row{

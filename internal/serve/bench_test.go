@@ -4,9 +4,12 @@ package serve
 // raw samples through the full ingest stage — consistent-hash routing,
 // bounded queues with backpressure pacing, shard scorers batch-scoring over
 // the packed kernels — measuring p99 enqueue-to-verdict latency and the
-// shed rate at saturation. `make bench` converts the output into
-// BENCH_serve.json; the accounting invariant (zero unlogged sheds) is both
-// asserted and emitted as a metric so the artifact itself proves it.
+// shed rate at saturation. The samples are harvested once and replayed, so
+// this is not the deployed throughput (perfbench serve-stream measures that,
+// with the simulator in the loop). `make bench` converts the output into an
+// uncommitted bench_serve.json report; the accounting invariant (zero
+// unlogged sheds) is both asserted and emitted as a metric so the report
+// itself proves it.
 
 import (
 	"context"
@@ -151,9 +154,10 @@ func BenchmarkServeSaturation(b *testing.B) {
 // BenchmarkServeForensicsOverhead pins the per-verdict cost of the
 // forensics layer, in the same family as BenchmarkMonitorTelemetryOverhead:
 // the "off" arm (tracing, attribution, flight recorder, SLO, slow exemplars
-// all disabled) must match the pre-forensics scoring hot path — the
-// acceptance criterion against the BENCH_serve.json baseline — while the
+// all disabled) must match the pre-forensics scoring hot path, while the
 // "on" arm prices what the default configuration pays per scored sample.
+// Both arms run in the same `make bench` invocation, so they are compared
+// within one run.
 func BenchmarkServeForensicsOverhead(b *testing.B) {
 	det, _ := testModels(b)
 	ctx := context.Background()

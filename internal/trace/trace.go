@@ -220,16 +220,16 @@ func (s *boundedStream) Next() (isa.Op, bool) {
 	return s.inner.Next()
 }
 
-// Encoder scales raw counter deltas by the maximum matrix M and binarizes
-// them into the paper's k-sparse representation.
+// Encoder builds the training-side views of a dataset under the maximum
+// matrix M: scaled, binarized and bit-packed feature rows.
 type Encoder struct {
-	M *stats.MaxMatrix
+	M *encoding.Encoding
 }
 
 // NewEncoder builds M from the training dataset: per-run sample sequences
 // update the per-execution-point maxima.
 func NewEncoder(train *Dataset) *Encoder {
-	m := stats.NewMaxMatrix(train.NumFeatures())
+	m := encoding.New(train.NumFeatures())
 	// Group samples into per-run sequences ordered by index.
 	type key struct {
 		prog string
@@ -258,64 +258,38 @@ func NewEncoder(train *Dataset) *Encoder {
 	return &Encoder{M: m}
 }
 
-// Enc exposes the encoder's maxima as the shared encoding type — the
-// single normalize/binarize implementation the serving paths also use.
-func (e *Encoder) Enc() *encoding.Encoding { return e.M.Encoding() }
-
-// Scale returns the sample scaled to [0,1] per feature.
-func (e *Encoder) Scale(s *Sample) []float64 {
-	return e.M.Scale(s.Raw, s.Index, nil)
-}
-
-// Binarize returns the k-sparse 0/1 vector for the sample.
-func (e *Encoder) Binarize(s *Sample) []float64 {
-	return e.M.Binarize(s.Raw, s.Index, nil)
-}
-
-// ScaleAt normalizes one raw counter-delta vector taken at execution point
-// j — the serving-path entry used when the raw vector does not come from a
-// Dataset sample.
-func (e *Encoder) ScaleAt(raw []float64, j int) []float64 {
-	return e.M.Scale(raw, j, nil)
-}
-
-// BinarizeAt is ScaleAt followed by the 0.5 binarization.
-func (e *Encoder) BinarizeAt(raw []float64, j int) []float64 {
-	return e.M.Binarize(raw, j, nil)
-}
-
 // Matrix encodes the whole dataset: X is scaled features (rows in dataset
 // order), y is +1 for malicious and -1 for benign.
 func (e *Encoder) Matrix(d *Dataset) (X [][]float64, y []float64) {
-	X = make([][]float64, len(d.Samples))
-	y = make([]float64, len(d.Samples))
-	for i := range d.Samples {
-		X[i] = e.Scale(&d.Samples[i])
-		y[i] = LabelValue(d.Samples[i].Label)
-	}
-	return X, y
+	return rows(d, func(s *Sample) []float64 { return e.M.Scale(s.Raw, s.Index, nil) })
 }
 
 // BinaryMatrix encodes the dataset as k-sparse binary vectors.
 func (e *Encoder) BinaryMatrix(d *Dataset) (X [][]float64, y []float64) {
-	X = make([][]float64, len(d.Samples))
-	y = make([]float64, len(d.Samples))
-	for i := range d.Samples {
-		X[i] = e.Binarize(&d.Samples[i])
-		y[i] = LabelValue(d.Samples[i].Label)
-	}
-	return X, y
+	return rows(d, func(s *Sample) []float64 { return e.M.Binarize(s.Raw, s.Index, nil) })
 }
 
 // PackedBinaryMatrix encodes the dataset as bit-packed k-sparse binary
-// vectors: row i has bit j set exactly where BinaryMatrix would put a 1.
+// vectors through BitsPacked, the serving kernel, with every feature in its
+// own slot: for finite counter values, row i has bit j set exactly where
+// BinaryMatrix would put a 1.
 // It feeds the popcount scoring/training kernels without materializing the
 // dense float matrix.
 func (e *Encoder) PackedBinaryMatrix(d *Dataset) (X []encoding.BitVec, y []float64) {
-	X = make([]encoding.BitVec, len(d.Samples))
+	slots := encoding.Identity(d.NumFeatures())
+	return rows(d, func(s *Sample) encoding.BitVec {
+		bits, _ := e.M.BitsPacked(s.Raw, slots, s.Index, nil)
+		return bits
+	})
+}
+
+// rows encodes every sample of d with row, in dataset order, alongside its
+// ±1 label.
+func rows[T any](d *Dataset, row func(*Sample) T) (X []T, y []float64) {
+	X = make([]T, len(d.Samples))
 	y = make([]float64, len(d.Samples))
 	for i := range d.Samples {
-		X[i] = encoding.Pack(e.Binarize(&d.Samples[i]))
+		X[i] = row(&d.Samples[i])
 		y[i] = LabelValue(d.Samples[i].Label)
 	}
 	return X, y

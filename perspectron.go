@@ -231,13 +231,15 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 	tr.FitPacked(Xp, yb, 0)
 	st := tr.State()
 
+	slots := enc.M.Slots(sel.Indices)
 	d := &Detector{
 		FeatureNames: make([]string, len(sel.Indices)),
 		Weights:      perc.W,
 		Bias:         perc.Bias,
 		Threshold:    opts.Threshold,
 		Interval:     opts.Interval,
-		GlobalMax:    make([]float64, len(sel.Indices)),
+		GlobalMax:    slots.GlobalMax,
+		PointMax:     slots.PerPoint,
 		Lineage: &Lineage{
 			TrainedSamples: len(Xp),
 			Trainer:        &st,
@@ -246,18 +248,6 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 	}
 	for i, j := range sel.Indices {
 		d.FeatureNames[i] = ds.FeatureNames[j]
-		d.GlobalMax[i] = enc.M.GlobalMax(j)
-	}
-	points := enc.M.NumPoints()
-	if points > 64 {
-		points = 64
-	}
-	for pt := 0; pt < points; pt++ {
-		row := make([]float64, len(sel.Indices))
-		for i, j := range sel.Indices {
-			row[i] = enc.M.Max(j, pt)
-		}
-		d.PointMax = append(d.PointMax, row)
 	}
 	return d, nil
 }
@@ -574,22 +564,7 @@ func (d *Detector) validate() error {
 			return fmt.Errorf("non-finite weight for feature %q", d.FeatureNames[i])
 		}
 	}
-	for i, m := range d.GlobalMax {
-		if !finite(m) {
-			return fmt.Errorf("non-finite global max for feature %q", d.FeatureNames[i])
-		}
-	}
-	for p, row := range d.PointMax {
-		if len(row) != n {
-			return fmt.Errorf("point-max row %d has width %d, want %d", p, len(row), n)
-		}
-		for i, m := range row {
-			if !finite(m) {
-				return fmt.Errorf("non-finite point max at (%d, %q)", p, d.FeatureNames[i])
-			}
-		}
-	}
-	return nil
+	return d.encoding().Validate()
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
