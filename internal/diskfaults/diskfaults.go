@@ -408,7 +408,9 @@ func ParseSpec(spec string) ([]Rule, error) {
 				r.Count = n
 			case "rate":
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 || f > 1 {
+				// Written so NaN, which fails every comparison, is refused:
+				// an armed NaN rate would fire on every op.
+				if err != nil || !(f >= 0 && f <= 1) {
 					return nil, fmt.Errorf("diskfaults: bad rate=%q in %q", v, clause)
 				}
 				r.Rate = f

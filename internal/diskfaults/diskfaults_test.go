@@ -182,11 +182,53 @@ func TestParseSpec(t *testing.T) {
 	if rules[1].Site != "" || rules[1].Rate != 0.5 || rules[1].Kind != KindSyncFail {
 		t.Fatalf("rule 1 = %+v", rules[1])
 	}
-	for _, bad := range []string{"", "x:y", "s:write:nope", "s:frob:eio", "s:write:eio:after=-1", "s:write:eio:rate=2", "s:write:eio:bogus=1"} {
+	for _, bad := range []string{"", "x:y", "s:write:nope", "s:frob:eio", "s:write:eio:after=-1", "s:write:eio:rate=2",
+		"s:write:eio:rate=NaN", "s:write:eio:rate=-Inf", "s:write:eio:bogus=1"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec holds ParseSpec to its grammar on arbitrary input: it never
+// panics, and whatever it accepts is a rule an Injector can arm as written —
+// a known op and kind, non-negative after and count, and a rate in [0,1].
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"verdictlog:write:enospc:after=20:count=3,checkpoint:sync:syncfail",
+		"*:sync:syncfail:rate=0.5",
+		"corpus:rename:crash",
+		"state:create:torn:after=1",
+		"verdictlog:write:eio:rate=NaN",
+		"s:write:eio:rate=1e400",
+		",, ,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if len(rules) == 0 {
+			t.Fatalf("ParseSpec(%q) accepted no rules", spec)
+		}
+		for _, r := range rules {
+			switch r.Op {
+			case OpCreate, OpWrite, OpSync, OpRename:
+			default:
+				t.Fatalf("ParseSpec(%q): unknown op in %+v", spec, r)
+			}
+			switch r.Kind {
+			case KindTorn, KindENOSPC, KindEIO, KindSyncFail, KindCrash:
+			default:
+				t.Fatalf("ParseSpec(%q): unknown kind in %+v", spec, r)
+			}
+			if r.After < 0 || r.Count < 0 || !(r.Rate >= 0 && r.Rate <= 1) {
+				t.Fatalf("ParseSpec(%q): out-of-range rule %+v", spec, r)
+			}
+		}
+	})
 }
 
 func TestRateIsSeededDeterministic(t *testing.T) {
