@@ -8,11 +8,11 @@ import (
 )
 
 // TestSingleCollectionAcrossExperiments is the collect-once acceptance test:
-// a sweep of base-corpus experiments — including detector training through
-// the public perspectron.Train API, the path FaultTol takes — must trigger
-// exactly one base-corpus collection in the shared artifact store. Fig5 then
-// adds exactly its two longer-granularity corpora; its 10K-interval request
-// is served from the store.
+// a sweep of base-corpus experiments — including the perspectron.Train and
+// TrainClassifier calls that Multiway, Weights, Fig3 and Sched make — must
+// trigger exactly one base-corpus collection in the shared artifact store.
+// Fig5 then adds exactly its two longer-granularity corpora; its 10K-interval
+// request is served from the store.
 func TestSingleCollectionAcrossExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several experiments")
@@ -27,15 +27,12 @@ func TestSingleCollectionAcrossExperiments(t *testing.T) {
 	Table3(cfg)
 	Multiway(cfg)
 	Weights(cfg)
+	Fig3(cfg)
+	Sched(cfg)
 
 	// Detector training through the public API, exactly as FaultTol invokes
 	// it: same workload identities, same collect config, same store.
-	opts := perspectron.DefaultOptions()
-	opts.MaxInsts = cfg.MaxInsts
-	opts.Runs = cfg.Runs
-	opts.Seed = cfg.Seed
-	opts.Interval = cfg.Interval
-	if _, err := perspectron.Train(perspectron.TrainingWorkloads(), opts); err != nil {
+	if _, err := perspectron.Train(perspectron.TrainingWorkloads(), cfg.options()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,24 +53,5 @@ func TestSingleCollectionAcrossExperiments(t *testing.T) {
 	if d5.Collections != 2 {
 		t.Fatalf("Fig5 ran %d collections, want exactly 2 (50K and 100K; stats delta: %s)",
 			d5.Collections, d5)
-	}
-}
-
-// TestConfigPrivateStore verifies experiments honour Config.Store, the
-// isolation hook this test suite itself depends on.
-func TestConfigPrivateStore(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.MaxInsts = 30_000
-	cfg.Store = corpus.NewStore()
-
-	defBefore := corpus.Default().Stats()
-	collect(CoreCorpus(), cfg)
-	collect(CoreCorpus(), cfg)
-	st := cfg.Store.Stats()
-	if st.Collections != 1 || st.MemoryHits != 1 {
-		t.Fatalf("private store stats = %+v, want 1 collection + 1 hit", st)
-	}
-	if d := corpus.Default().Stats().Sub(defBefore); d.Collections != 0 {
-		t.Fatalf("private-store collection leaked into the default store: %s", d)
 	}
 }

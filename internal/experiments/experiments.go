@@ -15,13 +15,12 @@ import (
 	"fmt"
 	"strings"
 
+	"perspectron"
 	"perspectron/internal/corpus"
 	"perspectron/internal/features"
 	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
-	"perspectron/internal/workload/attacks"
-	"perspectron/internal/workload/benign"
 )
 
 // Config scales every experiment.
@@ -30,30 +29,21 @@ type Config struct {
 	MaxInsts uint64 // committed-path ops per program run
 	Runs     int    // runs per program
 	Interval uint64 // sampling granularity
-
-	// Store is the corpus store experiments collect through; nil means the
-	// process-wide corpus.Default(). Tests set a private store to count
-	// collections in isolation.
-	Store *corpus.Store
-}
-
-// store returns the artifact store this config collects through.
-func (c Config) store() *corpus.Store {
-	if c.Store != nil {
-		return c.Store
-	}
-	return corpus.Default()
 }
 
 // CollectConfig returns the trace-collection settings the config describes —
 // the corpus store's half of the cache fingerprint.
 func (c Config) CollectConfig() trace.CollectConfig {
-	return trace.CollectConfig{
-		MaxInsts: c.MaxInsts,
-		Interval: c.Interval,
-		Seed:     c.Seed,
-		Runs:     c.Runs,
-	}
+	return c.options().CollectConfig()
+}
+
+// options returns the training options of the shipped detector and
+// classifier at this config's scale: perspectron's defaults (106 features,
+// threshold 0.25) over the config's run length, runs, interval and seed.
+func (c Config) options() perspectron.Options {
+	o := perspectron.DefaultOptions()
+	o.Interval, o.MaxInsts, o.Runs, o.Seed = c.Interval, c.MaxInsts, c.Runs, c.Seed
+	return o
 }
 
 // DefaultConfig is the full-scale setting used by cmd/experiments.
@@ -66,7 +56,8 @@ func QuickConfig() Config {
 	return Config{Seed: 1, MaxInsts: 100_000, Runs: 1, Interval: 10_000}
 }
 
-// CoreCorpus returns the unmodified-attack workload set: all attacks
+// CoreCorpus returns perspectron.TrainingWorkloads(), the unmodified-attack
+// workload set the shipped detector trains on: all attacks
 // (default channels plus pp-channel variants of the speculative attacks,
 // for the §VI-B channel pairing) and the benign kernels. The evasion
 // experiments (Figs. 3–4) train on this corpus so no evasion variant is
@@ -78,19 +69,35 @@ func QuickConfig() Config {
 // make sample-level labels ambiguous — the paper likewise reports them as
 // pre/post-leakage coverage, not accuracy.
 func CoreCorpus() []workload.Program {
-	progs := append([]workload.Program{}, benign.All()...)
-	progs = append(progs, attacks.TrainingSet()...)
-	for _, cat := range []string{"spectre_v1", "spectre_v2", "spectre_rsb", "meltdown", "cacheout"} {
-		progs = append(progs, attacks.WithChannel(cat, "pp"))
-	}
-	return progs
+	return perspectron.TrainingWorkloads()
 }
 
-// collect fetches (progs, cfg)'s dataset through the artifact store: a
-// corpus any experiment in this process already collected — at any config —
-// is served from memory (or the on-disk cache) instead of re-simulated.
-func collect(progs []workload.Program, cfg Config) *trace.Dataset {
-	return cfg.store().Dataset(progs, cfg.CollectConfig())
+// trainDetector trains the shipped detector — what `perspectron train`
+// writes — on the base corpus through the shared artifact store.
+func trainDetector(cfg Config) *perspectron.Detector {
+	det, err := perspectron.Train(CoreCorpus(), cfg.options())
+	if err != nil {
+		panic(err)
+	}
+	return det
+}
+
+// monitor runs w under det on a fresh machine, as `perspectron detect` does.
+func monitor(det *perspectron.Detector, w workload.Program, maxInsts uint64, seed int64) *perspectron.Report {
+	rep, err := det.Monitor(w, maxInsts, seed)
+	if err != nil {
+		panic(err)
+	}
+	return rep
+}
+
+// scores returns a report's per-sample detector outputs.
+func scores(rep *perspectron.Report) []float64 {
+	out := make([]float64, len(rep.Samples))
+	for i, s := range rep.Samples {
+		out[i] = s.Score
+	}
+	return out
 }
 
 // Prepared bundles a dataset with its encoder and PerSpectron selection —
@@ -104,7 +111,7 @@ type Prepared = corpus.Prepared
 func Prepare(cfg Config) *Prepared {
 	_, span := telemetry.StartSpan(context.Background(), "prepare")
 	defer span.End()
-	return cfg.store().Prepared(CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
+	return corpus.Default().Prepared(CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
 }
 
 // table renders rows as fixed-width text with a header underline.

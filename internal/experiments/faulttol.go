@@ -34,11 +34,7 @@ type FaultTolResult struct {
 // attack and benign kernel under increasing random counter dropout injected
 // into the machine's sampled vectors.
 func FaultTol(cfg Config) *FaultTolResult {
-	opts := perspectron.DefaultOptions()
-	opts.MaxInsts = cfg.MaxInsts
-	opts.Runs = cfg.Runs
-	opts.Seed = cfg.Seed
-	opts.Interval = cfg.Interval
+	opts := cfg.options()
 
 	res := &FaultTolResult{Threshold: opts.Threshold}
 	det, err := perspectron.Train(perspectron.TrainingWorkloads(), opts)

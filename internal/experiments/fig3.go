@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"perspectron/internal/perceptron"
-	"perspectron/internal/trace"
 	"perspectron/internal/workload/attacks"
 )
 
@@ -27,33 +25,18 @@ type Fig3Result struct {
 	Series    []Fig3Series
 }
 
-// trainPerSpectron trains the detector on the base corpus and returns a
-// scorer (shared by Fig3/Fig4).
-func trainPerSpectron(p *Prepared, threshold float64) *modelScorer {
-	enc := p.Enc
-	X, y := enc.BinaryMatrix(p.DS)
-	Xp := trace.Project(X, p.Sel.Indices)
-	det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-	det.Fit(Xp, y)
-	return &modelScorer{enc: enc.M, idx: p.Sel.Indices, binary: true,
-		clf: det, threshold: threshold}
-}
-
 // Fig3 trains PerSpectron on the core corpus (which contains no polymorphic
 // variants) and monitors each variant.
 func Fig3(cfg Config) *Fig3Result {
-	p := Prepare(cfg)
-	sc := trainPerSpectron(p, 0.25)
-	runs := collectRuns(attacks.AllPolymorphic("fr"), cfg)
-
-	res := &Fig3Result{Interval: cfg.Interval, Threshold: sc.threshold}
-	for _, run := range runs {
-		v := sc.verdict(run)
+	det := trainDetector(cfg)
+	res := &Fig3Result{Interval: det.Interval, Threshold: det.Threshold}
+	for i, prog := range attacks.AllPolymorphic("fr") {
+		rep := monitor(det, prog, cfg.MaxInsts, cfg.Seed+int64(i)*101)
 		res.Series = append(res.Series, Fig3Series{
-			Variant:   strings.TrimPrefix(run.Name, "spectreV1-poly-"),
-			Scores:    v.Scores,
-			FirstFlag: v.FirstFlag,
-			Detected:  v.Detected,
+			Variant:   strings.TrimPrefix(rep.Workload, "spectreV1-poly-"),
+			Scores:    scores(rep),
+			FirstFlag: rep.FirstFlag,
+			Detected:  rep.Detected,
 		})
 	}
 	return res

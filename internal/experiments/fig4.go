@@ -31,26 +31,30 @@ type Fig4Result struct {
 // Fig4 trains on the core corpus (full-rate attacks only — no bandwidth
 // variant is seen in training) and monitors the reduced-bandwidth variants.
 func Fig4(cfg Config) *Fig4Result {
-	p := Prepare(cfg)
-	sc := trainPerSpectron(p, 0.25)
-
-	res := &Fig4Result{Interval: cfg.Interval, Threshold: sc.threshold}
+	det := trainDetector(cfg)
+	res := &Fig4Result{Interval: det.Interval, Threshold: det.Threshold}
 	for _, factor := range []float64{1.0, 0.75, 0.5, 0.25} {
 		prog := attacks.Bandwidth(attacks.SpectreV1("fr"), factor)
 		// Lower bandwidth needs proportionally longer runs to show the
 		// same number of attack phases.
-		runCfg := cfg
-		runCfg.MaxInsts = uint64(float64(cfg.MaxInsts) / factor)
-		run := collectRun(prog, runCfg, cfg.Seed+17)
-		v := sc.verdict(run)
-		res.Series = append(res.Series, Fig4Series{
+		rep := monitor(det, prog, uint64(float64(cfg.MaxInsts)/factor), cfg.Seed+17)
+		s := Fig4Series{
 			Factor:    factor,
-			Scores:    v.Scores,
-			FirstFlag: v.FirstFlag,
-			FirstLeak: v.FirstLeak,
-			Detected:  v.Detected,
-			PreLeak:   v.PreLeak,
-		})
+			Scores:    scores(rep),
+			FirstFlag: rep.FirstFlag,
+			FirstLeak: -1,
+			Detected:  rep.Detected,
+		}
+		// A disclosure completing in the run's unsampled tail has no
+		// sample to be flagged at.
+		for _, l := range rep.LeakSamples {
+			if l < len(rep.Samples) {
+				s.FirstLeak = l
+				break
+			}
+		}
+		s.PreLeak = s.Detected && (s.FirstLeak < 0 || s.FirstFlag <= s.FirstLeak)
+		res.Series = append(res.Series, s)
 	}
 	return res
 }

@@ -18,7 +18,9 @@ type MonitoredRun struct {
 	LeakSamples []int
 }
 
-// collectRun executes one program and records samples plus leak marks.
+// collectRun executes one program and records samples plus leak marks, for
+// Table IV's model grid to score offline. The experiments about the shipped
+// detector monitor through perspectron's Detector.Monitor instead.
 func collectRun(p workload.Program, cfg Config, seed int64) MonitoredRun {
 	m := sim.NewMachine(sim.DefaultConfig())
 	stream := p.Stream(rand.New(rand.NewSource(seed)))
@@ -44,33 +46,14 @@ func collectRuns(progs []workload.Program, cfg Config) []MonitoredRun {
 	return out
 }
 
-// modelScorer scores monitored runs with a trained classifier over the
-// maximum matrix built from the training corpus.
+// modelScorer scores monitored runs with one of Table IV's grid models over
+// the maximum matrix built from the training corpus.
 type modelScorer struct {
 	enc       *encoding.Encoding
 	idx       []int // feature projection (nil = all)
 	binary    bool
 	clf       ml.Classifier
 	threshold float64
-}
-
-// scoreSample encodes one raw delta vector (at execution point j) and
-// returns the classifier score.
-func (s *modelScorer) scoreSample(raw []float64, j int) float64 {
-	var vec []float64
-	if s.binary {
-		vec = s.enc.Binarize(raw, j, nil)
-	} else {
-		vec = s.enc.Scale(raw, j, nil)
-	}
-	if s.idx != nil {
-		p := make([]float64, len(s.idx))
-		for i, f := range s.idx {
-			p[i] = vec[f]
-		}
-		vec = p
-	}
-	return s.clf.Score(vec)
 }
 
 // Verdict summarizes one monitored run's detection outcome.
@@ -85,14 +68,27 @@ type Verdict struct {
 	PreLeak  bool
 }
 
-// verdict scores a run sample by sample.
+// verdict encodes and scores a run sample by sample.
 func (s *modelScorer) verdict(run MonitoredRun) Verdict {
 	v := Verdict{Name: run.Name, FirstFlag: -1, FirstLeak: -1}
 	if len(run.LeakSamples) > 0 {
 		v.FirstLeak = run.LeakSamples[0]
 	}
 	for i, raw := range run.Samples {
-		score := s.scoreSample(raw, i)
+		var vec []float64
+		if s.binary {
+			vec = s.enc.Binarize(raw, i, nil)
+		} else {
+			vec = s.enc.Scale(raw, i, nil)
+		}
+		if s.idx != nil {
+			p := make([]float64, len(s.idx))
+			for k, f := range s.idx {
+				p[k] = vec[f]
+			}
+			vec = p
+		}
+		score := s.clf.Score(vec)
 		v.Scores = append(v.Scores, score)
 		if v.FirstFlag < 0 && score >= s.threshold {
 			v.FirstFlag = i

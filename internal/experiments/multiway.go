@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"perspectron/internal/encoding"
+	"perspectron"
+	"perspectron/internal/corpus"
 	"perspectron/internal/perceptron"
-	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 )
 
@@ -24,50 +23,34 @@ type MultiwayResult struct {
 	Accuracy float64
 }
 
-// Multiway trains the classifier bank on the base corpus and scores it on
-// the training set.
+// Multiway trains the shipped classifier bank — what `perspectron
+// classify-train` writes — on the base corpus and scores it on the training
+// set. Classification uses the full k-sparse feature space: distinguishing
+// SpectreV1 from V2 from RSB needs the per-predictor-unit counters that the
+// binary benign/suspicious selection has no reason to keep.
 func Multiway(cfg Config) *MultiwayResult {
-	p := Prepare(cfg)
-	enc := p.Enc
-
-	// Class label per sample: the attack category, or "benign".
-	labelOf := func(s *trace.Sample) string {
+	cls, err := perspectron.TrainClassifier(CoreCorpus(), cfg.options())
+	if err != nil {
+		panic(err)
+	}
+	sc, err := perspectron.NewRawScorer(nil, cls)
+	if err != nil {
+		panic(err)
+	}
+	conf := perceptron.NewConfusion(cls.Classes)
+	// The corpus TrainClassifier just trained on, from the artifact store.
+	for _, s := range corpus.Default().Dataset(CoreCorpus(), cfg.CollectConfig()).Samples {
+		want := s.Category
 		if s.Label == workload.Benign {
-			return "benign"
+			want = "benign"
 		}
-		return s.Category
-	}
-	classSet := map[string]bool{}
-	for i := range p.DS.Samples {
-		classSet[labelOf(&p.DS.Samples[i])] = true
-	}
-	var classes []string
-	for c := range classSet {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-
-	// Classification uses the full k-sparse feature space: distinguishing
-	// SpectreV1 from V2 from RSB needs the per-predictor-unit counters
-	// that the binary benign/suspicious selection has no reason to keep.
-	Xp, _ := enc.BinaryMatrix(p.DS)
-	labels := make([]string, len(p.DS.Samples))
-	for i := range p.DS.Samples {
-		labels[i] = labelOf(&p.DS.Samples[i])
+		got, _, _ := sc.Classify(perspectron.RawSample{Sample: s.Index, Raw: s.Raw})
+		conf.Add(want, got)
 	}
 
-	mc := perceptron.NewMultiClass(classes, p.DS.NumFeatures(), perceptron.DefaultConfig())
-	mc.FitPacked(encoding.PackRows(Xp), labels)
-
-	conf := perceptron.NewConfusion(classes)
-	for i, x := range Xp {
-		got, _ := mc.Predict(x)
-		conf.Add(labels[i], got)
-	}
-
-	res := &MultiwayResult{Classes: classes, PerClass: map[string]float64{},
+	res := &MultiwayResult{Classes: cls.Classes, PerClass: map[string]float64{},
 		MacroF1: conf.MacroF1(), Accuracy: conf.Accuracy()}
-	for _, c := range classes {
+	for _, c := range cls.Classes {
 		res.PerClass[c] = conf.F1(c)
 	}
 	return res

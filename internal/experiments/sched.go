@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perspectron"
 	"perspectron/internal/sched"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/attacks"
@@ -31,8 +32,10 @@ type SchedResult struct {
 // Sched trains PerSpectron on the standard isolated corpus and deploys it
 // on a 4-way multiprogrammed mix with one attacker.
 func Sched(cfg Config) *SchedResult {
-	p := Prepare(cfg)
-	sc := trainPerSpectron(p, 0.25)
+	sc, err := perspectron.NewRawScorer(trainDetector(cfg), nil)
+	if err != nil {
+		panic(err)
+	}
 
 	s, err := sched.New(cfg.Interval, cfg.Interval, cfg.Seed+77,
 		benign.Gcc(),
@@ -50,8 +53,7 @@ func Sched(cfg Config) *SchedResult {
 	totalBy := map[string]int{}
 	var atkFlag, atkTotal, benFlag, benTotal float64
 	for _, smp := range samples {
-		score := sc.scoreSample(smp.Raw, smp.Index/len(s.Tasks()))
-		flagged := score >= sc.threshold
+		_, flagged, _ := sc.Detect(perspectron.RawSample{Sample: smp.Index / len(s.Tasks()), Raw: smp.Raw})
 		totalBy[smp.Program]++
 		if flagged {
 			flaggedBy[smp.Program]++

@@ -5,9 +5,8 @@ import (
 	"sort"
 	"strings"
 
-	"perspectron/internal/perceptron"
+	"perspectron/internal/sim"
 	"perspectron/internal/stats"
-	"perspectron/internal/trace"
 )
 
 // WeightEntry pairs a feature with its learned weight.
@@ -26,23 +25,21 @@ type WeightsResult struct {
 	TopNegative []WeightEntry
 }
 
-// Weights trains PerSpectron on the full base corpus and reports the
-// learned weights.
+// Weights reports the learned weights of the shipped detector
+// (perspectron.Train on the full base corpus), grouped by component and
+// ranked by its own sort over the detector's slot order.
 func Weights(cfg Config) *WeightsResult {
-	p := Prepare(cfg)
-	enc := p.Enc
-	X, y := enc.BinaryMatrix(p.DS)
-	Xp := trace.Project(X, p.Sel.Indices)
-	det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-	det.Fit(Xp, y)
+	det := trainDetector(cfg)
+	reg := sim.NewMachine(sim.DefaultConfig()).Reg
 
 	res := &WeightsResult{ByComponent: map[string][]WeightEntry{}}
 	var all []WeightEntry
-	for i, j := range p.Sel.Indices {
+	for i, name := range det.FeatureNames {
+		c, _ := reg.Lookup(name)
 		e := WeightEntry{
-			Name:      p.DS.FeatureNames[j],
-			Component: p.DS.Components[j].String(),
-			Weight:    det.W[i],
+			Name:      name,
+			Component: c.Component().String(),
+			Weight:    det.Weights[i],
 		}
 		all = append(all, e)
 		res.ByComponent[e.Component] = append(res.ByComponent[e.Component], e)

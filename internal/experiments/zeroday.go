@@ -24,8 +24,7 @@ type ZeroDayResult struct {
 // ZeroDay trains PerSpectron on the standard corpus and monitors the
 // excluded attacks.
 func ZeroDay(cfg Config) *ZeroDayResult {
-	p := Prepare(cfg)
-	sc := trainPerSpectron(p, 0.25)
+	det := trainDetector(cfg)
 
 	subjects := []workload.Program{
 		attacks.SpectreV4("fr"),
@@ -34,19 +33,17 @@ func ZeroDay(cfg Config) *ZeroDayResult {
 	}
 	res := &ZeroDayResult{TPRate: map[string]float64{}, Detected: map[string]bool{}}
 	for _, prog := range subjects {
-		run := collectRun(prog, cfg, cfg.Seed+303)
-		v := sc.verdict(run)
+		rep := monitor(det, prog, cfg.MaxInsts, cfg.Seed+303)
 		flagged := 0
-		for _, s := range v.Scores {
-			if s >= sc.threshold {
+		for _, s := range rep.Samples {
+			if s.Flagged {
 				flagged++
 			}
 		}
-		name := prog.Info().Name
-		if len(v.Scores) > 0 {
-			res.TPRate[name] = float64(flagged) / float64(len(v.Scores))
+		if len(rep.Samples) > 0 {
+			res.TPRate[rep.Workload] = float64(flagged) / float64(len(rep.Samples))
 		}
-		res.Detected[name] = v.Detected
+		res.Detected[rep.Workload] = rep.Detected
 	}
 	return res
 }
