@@ -113,9 +113,8 @@ func appendSetBits(dst []int, v encoding.BitVec) []int {
 // Attribution explains the sample most recently passed to Detect: the fired
 // slot set (ascending) and the top-k contributions, exactly consistent with
 // the score Detect returned. It costs one bit walk plus a sort over the
-// fired set — call it only for verdicts worth explaining (flagged samples,
-// a sampled fraction of benign ones). Errors before any Detect call or
-// without a detector.
+// fired set — call it only for verdicts worth explaining, such as flagged
+// samples. Errors before any Detect call or without a detector.
 func (r *RawScorer) Attribution(k int) (fired []int, attr []Contribution, err error) {
 	if r.det == nil {
 		return nil, nil, fmt.Errorf("perspectron: attribution needs a detector")

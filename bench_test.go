@@ -299,13 +299,17 @@ func BenchmarkMonitorTelemetryOverhead(b *testing.B) {
 // ablationCV runs the Table III CV with the given encoding/feature choices
 // and reports the mean accuracy.
 func ablationCV(b *testing.B, idx []int, binary bool, mk func(n int) eval.ScoredClassifier) {
-	p := benchPrep()
+	ablationCVOn(b, benchPrep().DS, idx, binary, mk)
+}
+
+// ablationCVOn is ablationCV over the dataset ds.
+func ablationCVOn(b *testing.B, ds *trace.Dataset, idx []int, binary bool, mk func(n int) eval.ScoredClassifier) {
 	n := len(idx)
 	if idx == nil {
-		n = p.DS.NumFeatures()
+		n = ds.NumFeatures()
 	}
 	for i := 0; i < b.N; i++ {
-		res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier { return mk(n) },
+		res := eval.CrossValidate(ds, func() eval.ScoredClassifier { return mk(n) },
 			eval.CVConfig{
 				Folds:      eval.TableIIIFolds(),
 				FeatureIdx: idx,
@@ -466,15 +470,27 @@ func BenchmarkAblationMargin(b *testing.B) {
 }
 
 // BenchmarkAblationNormalization compares per-execution-point maxima (the
-// paper's matrix M) against corpus-global per-counter maxima.
+// paper's matrix M) against corpus-global per-counter maxima. The global arm
+// cross-validates a copy of the dataset in which every sample is execution
+// point 0 of its own run, so each fold's only point column is its global
+// maximum.
 func BenchmarkAblationNormalization(b *testing.B) {
 	p := benchPrep()
 	b.Run("per-point", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, newPerceptron) })
 	b.Run("global-max", func(b *testing.B) {
-		encoding.GlobalOnly = true
-		defer func() { encoding.GlobalOnly = false }()
-		ablationCV(b, p.Sel.Indices, true, newPerceptron)
+		ablationCVOn(b, globalOnly(p.DS), p.Sel.Indices, true, newPerceptron)
 	})
+}
+
+// globalOnly returns a copy of ds whose samples each sit at execution point
+// 0 of a run of their own.
+func globalOnly(ds *trace.Dataset) *trace.Dataset {
+	out := *ds
+	out.Samples = append([]trace.Sample(nil), ds.Samples...)
+	for i := range out.Samples {
+		out.Samples[i].Run, out.Samples[i].Index = i, 0
+	}
+	return &out
 }
 
 // BenchmarkSerialAdderScaling reports the hardware model's inference cycle

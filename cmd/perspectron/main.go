@@ -2,27 +2,40 @@
 //
 // Subcommands:
 //
-//	perspectron train  [-out detector.json] [-insts N] [-runs N] [-seed N] [-cachedir DIR]
+//	perspectron train  [-out detector.json] [-insts N] [-runs N] [-seed N]
+//	                   [-interval N] [-cachedir DIR]
 //	perspectron detect [-in detector.json] -workload <name> [-channel fr|ff|pp]
 //	                   [-bandwidth F] [-poly N] [-insts N] [-seed N]
 //	                   [-dropout F] [-stuck0 F] [-stuckmax F] [-noise F]
 //	                   [-jitter F] [-blackout comp[:from[:to]]] [-faultseed N]
+//	perspectron classify-train [-out classifier.json] [-insts N] [-runs N]
+//	                   [-seed N] [-cachedir DIR]
+//	perspectron classify [-in classifier.json] -workload <name>
+//	                   [-channel fr|ff|pp] [-insts N] [-seed N]
 //	perspectron info   [-in detector.json]
 //	perspectron serve  [-in detector.json] [-classifier classifier.json]
 //	                   [-workloads name,name|all|attacks|benign] [-channel fr|ff|pp]
 //	                   [-insts N] [-seed N] [-episodes N] [-verdicts FILE]
 //	                   [-sample-timeout D] [-episode-timeout D] [-poll D]
 //	                   [-shards N] [-queue-depth N] [-batch N]
-//	                   [-load-high F] [-load-critical F]
-//	                   [-attr-k N] [-attr-benign-every N] [-flight N]
-//	                   [-slow-sample D] [-slo-latency D]
-//	                   [-slo-latency-budget F] [-slo-shed-budget F]
+//	                   [-load-high F] [-load-critical F] [-no-forensics]
 //	                   [-dropout F] [-stuck0 F] [-stuckmax F] [-faultseed N]
+//	                   [-shadow] [-shadow-workloads SPEC] [-shadow-interval D]
+//	                   [-shadow-budget N] [-shadow-insts N] [-drift-threshold F]
 //	                   [-state FILE] [-log-flush D] [-no-last-good]
+//	                   [-disk-faults SPEC] [-disk-fault-seed N]
+//	perspectron shadow [-in detector.json] [-verdicts FILE] [-state FILE]
+//	                   [-workloads SPEC] [-channel fr|ff|pp] [-interval D]
+//	                   [-budget N] [-rounds N] [-insts N] [-runs N] [-seed N]
+//	                   [-drift-threshold F] [-cachedir DIR]
 //	                   [-disk-faults SPEC] [-disk-fault-seed N]
 //	perspectron explain -verdicts FILE [-in detector.json]
 //	                   [-trace ID | -index N] [-force] [-json]
 //	perspectron list
+//
+// Every subcommand but info, explain and list also takes the shared
+// telemetry flags -metrics-addr, -trace-out and -metrics-hold
+// (docs/OBSERVABILITY.md).
 //
 // `detect` monitors the named workload on a fresh simulated machine and
 // prints the per-interval confidence, the flag point, and whether detection
@@ -35,8 +48,10 @@
 // into bounded per-shard queues with deterministic shedding and
 // backpressure, checkpoint hot-reload with rollback, graceful degradation
 // on both counter coverage and queue load, and /healthz + /readyz next to
-// /metrics when -metrics-addr is given. SIGINT/SIGTERM drains cleanly,
-// flushing the verdict log.
+// /metrics when -metrics-addr is given. Verdict forensics (trace IDs, stage
+// timings, attribution of flagged verdicts, /debug/verdicts and SLO burn
+// rates) is on unless -no-forensics is given. SIGINT/SIGTERM drains
+// cleanly, flushing the verdict log.
 //
 // `explain` reconstructs a recorded verdict offline (docs/OBSERVABILITY.md):
 // given the JSONL verdict log and the detector checkpoint version stamped
@@ -238,23 +253,13 @@ func cmdDetect(args []string) {
 			}
 		}
 	}
-	faulty := fc.Dropout > 0 || fc.StuckZero > 0 || fc.StuckMax > 0 ||
-		fc.Noise > 0 || fc.Jitter > 0 || fc.Blackout != ""
 
 	det := loadDetector(*in)
 	var w perspectron.Workload
-	switch {
-	case *poly >= 0:
+	if *poly >= 0 {
 		w = perspectron.PolymorphicVariants(*channel)[*poly%12]
-	default:
-		w = perspectron.AttackByName(*name, *channel)
-		if w == nil {
-			for _, b := range perspectron.BenignWorkloads() {
-				if b.Info().Name == *name {
-					w = b
-				}
-			}
-		}
+	} else {
+		w = workloadByName(*name, *channel)
 	}
 	if w == nil {
 		fmt.Fprintf(os.Stderr, "unknown workload %q; try `perspectron list`\n", *name)
@@ -264,12 +269,9 @@ func cmdDetect(args []string) {
 		w = perspectron.ReduceBandwidth(w, *bandwidth)
 	}
 
-	var rep *perspectron.Report
-	if faulty {
-		rep, err = det.MonitorFaulty(w, *insts, *seed, fc)
-	} else {
-		rep, err = det.Monitor(w, *insts, *seed)
-	}
+	// The zero FaultConfig injects nothing, so a run without fault flags is
+	// a plain Monitor.
+	rep, err := det.MonitorFaulty(w, *insts, *seed, fc)
 	if err != nil {
 		fatal(err)
 	}
@@ -391,14 +393,7 @@ func cmdClassify(args []string) {
 		fatal(err)
 	}
 
-	w := perspectron.AttackByName(*name, *channel)
-	if w == nil {
-		for _, b := range perspectron.BenignWorkloads() {
-			if b.Info().Name == *name {
-				w = b
-			}
-		}
-	}
+	w := workloadByName(*name, *channel)
 	if w == nil {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *name)
 		os.Exit(2)
@@ -411,9 +406,23 @@ func cmdClassify(args []string) {
 		res.Workload, res.Class, res.Confidence*100, res.Votes)
 }
 
+// workloadByName resolves a name from `perspectron list`: an attack on the
+// given disclosure channel, else a benign kernel, else nil.
+func workloadByName(name, channel string) perspectron.Workload {
+	if w := perspectron.AttackByName(name, channel); w != nil {
+		return w
+	}
+	for _, b := range perspectron.BenignWorkloads() {
+		if b.Info().Name == name {
+			return b
+		}
+	}
+	return nil
+}
+
 // resolveWorkloads expands the -workloads flag: "all" (training corpus),
 // "attacks", "benign", or a comma-separated list of workload names resolved
-// like `detect` does.
+// by workloadByName.
 func resolveWorkloads(spec, channel string) ([]perspectron.Workload, error) {
 	switch spec {
 	case "all":
@@ -429,14 +438,7 @@ func resolveWorkloads(spec, channel string) ([]perspectron.Workload, error) {
 		if name == "" {
 			continue
 		}
-		w := perspectron.AttackByName(name, channel)
-		if w == nil {
-			for _, b := range perspectron.BenignWorkloads() {
-				if b.Info().Name == name {
-					w = b
-				}
-			}
-		}
+		w := workloadByName(name, channel)
 		if w == nil {
 			return nil, fmt.Errorf("unknown workload %q; try `perspectron list`", name)
 		}
@@ -466,14 +468,7 @@ func cmdServe(args []string) {
 	batch := fs.Int("batch", 0, "max samples per scorer sweep (0 = 256)")
 	loadHigh := fs.Float64("load-high", 0, "queue pressure that starts backpressure + classifier demotion (0 = 0.75)")
 	loadCritical := fs.Float64("load-critical", 0, "queue pressure that demotes to the threshold rung (0 = 0.9)")
-	attrK := fs.Int("attr-k", 0, "top-k feature attributions stamped on flagged verdicts (0 = 5, negative disables)")
-	attrBenign := fs.Int("attr-benign-every", 0, "also attribute every Nth benign verdict per shard (0 = off)")
-	flightSize := fs.Int("flight", 0, "flight-recorder capacity for /debug/verdicts (0 = 256, negative disables)")
-	slowSample := fs.Duration("slow-sample", 0, "enqueue-to-verdict latency that emits a slow-sample exemplar to -trace-out (0 = 250ms, negative disables)")
-	sloLatency := fs.Duration("slo-latency", 0, "verdict-latency SLO target for the burn-rate gauges (0 = 50ms, negative disables SLO tracking)")
-	sloLatencyBudget := fs.Float64("slo-latency-budget", 0, "error budget: tolerated fraction of verdicts over -slo-latency (0 = 0.01)")
-	sloShedBudget := fs.Float64("slo-shed-budget", 0, "error budget: tolerated shed fraction (0 = 0.01)")
-	noTrace := fs.Bool("no-stage-trace", false, "disable per-sample trace IDs and stage timings in verdict records")
+	noForensics := fs.Bool("no-forensics", false, "disable verdict forensics: trace IDs, stage timings, attribution, /debug/verdicts, slow-verdict exemplars and SLO burn rates")
 	dropout := fs.Float64("dropout", 0, "per-sample counter dropout probability (fault injection)")
 	stuck0 := fs.Float64("stuck0", 0, "fraction of counters stuck at zero")
 	stuckMax := fs.Float64("stuckmax", 0, "fraction of counters stuck at saturation")
@@ -514,14 +509,7 @@ func cmdServe(args []string) {
 		LoadHigh:       *loadHigh,
 		LoadCritical:   *loadCritical,
 
-		DisableTracing:   *noTrace,
-		AttributionK:     *attrK,
-		AttrBenignEvery:  *attrBenign,
-		FlightSize:       *flightSize,
-		SlowSample:       *slowSample,
-		SLOLatencyTarget: *sloLatency,
-		SLOLatencyBudget: *sloLatencyBudget,
-		SLOShedBudget:    *sloShedBudget,
+		DisableForensics: *noForensics,
 	}
 	if *dropout > 0 || *stuck0 > 0 || *stuckMax > 0 {
 		cfg.Faults = &perspectron.FaultConfig{
@@ -764,7 +752,7 @@ func cmdExplain(args []string) {
 			}
 		}
 		if rec == nil {
-			fatal(fmt.Errorf("no attributed records in %s (serve with attribution enabled, see -attr-k)", *verdicts))
+			fatal(fmt.Errorf("no attributed records in %s (only flagged verdicts are attributed, and none under serve -no-forensics)", *verdicts))
 		}
 	}
 

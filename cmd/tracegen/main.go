@@ -14,13 +14,11 @@ import (
 	"math/rand"
 	"os"
 
+	"perspectron"
 	"perspectron/internal/corpus"
 	"perspectron/internal/sim"
 	"perspectron/internal/telemetry/telemetrycli"
 	"perspectron/internal/trace"
-	"perspectron/internal/workload"
-	"perspectron/internal/workload/attacks"
-	"perspectron/internal/workload/benign"
 )
 
 func main() {
@@ -53,18 +51,14 @@ func main() {
 		return
 	}
 
-	var progs []workload.Program
+	var progs []perspectron.Workload
 	switch *which {
 	case "attacks":
-		progs = attacks.TrainingSet()
+		progs = perspectron.AttackWorkloads()
 	case "benign":
-		progs = benign.All()
+		progs = perspectron.BenignWorkloads()
 	case "all":
-		progs = append(progs, benign.All()...)
-		progs = append(progs, attacks.TrainingSet()...)
-		for _, cat := range []string{"spectre_v1", "spectre_v2", "spectre_rsb", "meltdown", "cacheout"} {
-			progs = append(progs, attacks.WithChannel(cat, "pp"))
-		}
+		progs = perspectron.TrainingWorkloads()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload set %q\n", *which)
 		os.Exit(2)
@@ -100,8 +94,8 @@ func main() {
 // dumpStats runs one named workload on a fresh machine and prints the full
 // counter state in gem5 stats.txt format.
 func dumpStats(name string, insts, interval uint64, seed int64) {
-	var prog workload.Program
-	for _, p := range append(append([]workload.Program{}, benign.All()...), attacks.TrainingSet()...) {
+	var prog perspectron.Workload
+	for _, p := range append(perspectron.BenignWorkloads(), perspectron.AttackWorkloads()...) {
 		if p.Info().Name == name {
 			prog = p
 		}

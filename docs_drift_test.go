@@ -16,9 +16,14 @@ package perspectron
 // this module, with a Run("arm", ...) call in its body. Every baseline row
 // must have run at least 5 iterations, and every BENCH_*.json that
 // docs/*.md, README.md, the Makefile or CI names must exist in the tree.
+//
+// The CLI usage block in cmd/perspectron's package comment must list, for
+// each subcommand, exactly the flags that subcommand registers; the shared
+// telemetry flags are documented once, in docs/OBSERVABILITY.md.
 
 import (
 	"encoding/json"
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -30,6 +35,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"perspectron/internal/telemetry/telemetrycli"
 )
 
 var (
@@ -274,4 +281,142 @@ func TestBenchNamesMatchCode(t *testing.T) {
 			t.Errorf("%s names %s, but %s has no Run(%q, ...) call", where, n, fn, arm)
 		}
 	}
+}
+
+// usageFlagRe picks flag names out of a usage line: a "-name" that follows
+// a space, "[" or "|".
+var usageFlagRe = regexp.MustCompile(`(?:^|[\s\[|])-([a-z][a-z0-9-]*)`)
+
+func TestCLIUsageMatchesFlags(t *testing.T) {
+	const src = "cmd/perspectron/main.go"
+	f, err := parser.ParseFile(token.NewFileSet(), src, nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := flag.NewFlagSet("", flag.ContinueOnError)
+	telemetrycli.Register(shared)
+
+	// Code side: every fs := flag.NewFlagSet("sub", ...) and the names of
+	// the flags defined on fs in the same function.
+	code := map[string]map[string]bool{}
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		sets := map[string]string{} // flag-set variable -> subcommand
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+					return true
+				}
+				id, ok := n.Lhs[0].(*ast.Ident)
+				call, isCall := n.Rhs[0].(*ast.CallExpr)
+				if !ok || !isCall || len(call.Args) == 0 || !isSelector(call.Fun, "flag", "NewFlagSet") {
+					return true
+				}
+				if name, lit := stringLit(call.Args[0]); lit {
+					sets[id.Name] = name
+					code[name] = map[string]bool{}
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				x, ok := sel.X.(*ast.Ident)
+				if !ok || sets[x.Name] == "" {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1 // fs.StringVar(&v, "name", ...)
+				}
+				if arg < len(n.Args) {
+					if name, lit := stringLit(n.Args[arg]); lit {
+						code[sets[x.Name]][name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(code) == 0 {
+		t.Fatal("no flag.NewFlagSet calls found — the scanner is broken")
+	}
+
+	// Doc side: the tab-indented usage block, one "perspectron <sub>" line
+	// per subcommand plus its continuation lines.
+	usage := map[string]map[string]bool{}
+	sub := ""
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			sub = ""
+			continue
+		}
+		if fields := strings.Fields(line); len(fields) >= 2 && fields[0] == "perspectron" {
+			sub = fields[1]
+			usage[sub] = map[string]bool{}
+			line = strings.Join(fields[2:], " ")
+		}
+		if sub == "" {
+			continue
+		}
+		for _, m := range usageFlagRe.FindAllStringSubmatch(line, -1) {
+			if shared.Lookup(m[1]) == nil {
+				usage[sub][m[1]] = true
+			}
+		}
+	}
+	if len(usage) == 0 {
+		t.Fatalf("no usage block found in %s's package comment", src)
+	}
+
+	var subs []string
+	for s := range code {
+		subs = append(subs, s)
+	}
+	for s := range usage {
+		if _, ok := code[s]; !ok {
+			subs = append(subs, s)
+		}
+	}
+	sort.Strings(subs)
+	for _, s := range subs {
+		if _, ok := usage[s]; !ok {
+			t.Errorf("%s: subcommand %s registers flags but has no usage line", src, s)
+			continue
+		}
+		for fl := range code[s] {
+			if !usage[s][fl] {
+				t.Errorf("%s: %s registers -%s but its usage line omits it", src, s, fl)
+			}
+		}
+		for fl := range usage[s] {
+			if !code[s][fl] {
+				t.Errorf("%s: %s usage lists -%s but the subcommand does not register it", src, s, fl)
+			}
+		}
+	}
+}
+
+// isSelector reports whether e is the selector pkg.name.
+func isSelector(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg
+}
+
+// stringLit returns the value of a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }

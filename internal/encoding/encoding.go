@@ -33,12 +33,6 @@ import (
 // constant rather than re-deriving it.
 const BinarizeThreshold = 0.5
 
-// GlobalOnly disables per-execution-point maxima process-wide: Max (and
-// everything built on it) then normalizes by the corpus-wide per-counter
-// maximum. Per-point maxima are phase-alignment sensitive; detectors meant
-// to generalize across unseen programs can prefer the global column.
-var GlobalOnly = false
-
 // Encoding holds the normalization maxima for a feature space: the paper's
 // matrix M. GlobalMax is indexed by feature; PerPoint, when present, is
 // indexed [execution point][feature] and takes precedence wherever its
@@ -87,7 +81,7 @@ func (e *Encoding) Observe(samples [][]float64) {
 // the corpus-wide maximum. A result of 0 means the counter never fired
 // anywhere in training.
 func (e *Encoding) Max(i, point int) float64 {
-	if !GlobalOnly && point >= 0 && point < len(e.PerPoint) {
+	if point >= 0 && point < len(e.PerPoint) {
 		if v := e.PerPoint[point][i]; v > 0 {
 			return v
 		}

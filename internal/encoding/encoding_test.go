@@ -33,12 +33,6 @@ func TestObserveAndMax(t *testing.T) {
 	if e.Max(0, -1) != 6 || e.Max(0, 99) != 6 {
 		t.Fatalf("out-of-range point did not fall back to global")
 	}
-
-	GlobalOnly = true
-	defer func() { GlobalOnly = false }()
-	if e.Max(0, 0) != 6 {
-		t.Fatalf("GlobalOnly ignored the global column")
-	}
 }
 
 func TestSlots(t *testing.T) {

@@ -186,14 +186,8 @@ func BenchmarkServeForensicsOverhead(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"off", Config{
-			DisableTracing:   true,
-			AttributionK:     -1,
-			FlightSize:       -1,
-			SlowSample:       -1,
-			SLOLatencyTarget: -1,
-		}},
-		{"on", Config{}}, // the forensics defaults: tracing + attribution + flight + SLO
+		{"off", Config{DisableForensics: true}},
+		{"on", Config{}}, // the default: tracing + attribution + flight + SLO
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {

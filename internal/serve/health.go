@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"perspectron/internal/telemetry"
 )
 
 // WorkerHealth is one worker's row in the /healthz report.
@@ -230,15 +232,17 @@ func (s *Supervisor) Readyz() http.Handler {
 }
 
 // Handlers returns the health routes keyed by pattern, shaped for
-// telemetry.ServeWith / telemetrycli's Extra map. The flight recorder's
-// /debug/verdicts rides along when enabled.
+// telemetry.ServeWith / telemetrycli's Extra map. With forensics on, the
+// flight recorder rides along at /debug/verdicts: the last attributed
+// verdict records, each with its trace timings and weight×bit attribution,
+// so a fresh alert can be triaged from one curl without the log file.
 func (s *Supervisor) Handlers() map[string]http.Handler {
 	m := map[string]http.Handler{
 		"/healthz": s.Healthz(),
 		"/readyz":  s.Readyz(),
 	}
 	if s.flight != nil {
-		m["/debug/verdicts"] = s.flight.handler()
+		m["/debug/verdicts"] = telemetry.RingHandler(s.flight)
 	}
 	return m
 }

@@ -32,7 +32,7 @@ type ingestItem struct {
 	enqueuedAt time.Time
 	// dequeuedAt is stamped (once per batch) when the scorer drains the
 	// item, splitting end-to-end latency into queue wait vs scoring stages.
-	// Zero when tracing is disabled.
+	// Zero when forensics is off.
 	dequeuedAt time.Time
 }
 
@@ -65,8 +65,7 @@ type shard struct {
 	scored   atomic.Int64 // dequeued and logged (including error verdicts)
 	shed     atomic.Int64
 	panics   atomic.Int64
-	down     atomic.Bool   // breaker-open mirror the ring can read lock-free
-	attrTick atomic.Uint64 // benign-sample attribution round-robin counter
+	down     atomic.Bool // breaker-open mirror the ring can read lock-free
 }
 
 func newShard(id, capacity int, load *ladder, brk *breaker) *shard {
@@ -216,7 +215,7 @@ func (s *Supervisor) logShed(sh *shard, it *ingestItem) {
 		Shed:    true,
 		Shard:   sh.id,
 	}
-	if !s.cfg.DisableTracing {
+	if !s.cfg.DisableForensics {
 		// A shed victim's whole life was queue wait; the trace still joins
 		// it to its stream.
 		rec.Trace = it.trace()
@@ -284,7 +283,7 @@ func (s *Supervisor) scoreShard(sh *shard) {
 		}
 		loadMode, _ := sh.load.snapshot()
 		batch = sh.dequeueBatch(s.cfg.Batch, batch[:0])
-		if !s.cfg.DisableTracing {
+		if !s.cfg.DisableForensics {
 			// One clock read covers the whole batch: every item left the
 			// queue at this instant, and per-item batch wait accrues from
 			// here until its scoring turn.
@@ -338,19 +337,18 @@ func (c *scorerCache) get(mdl *Models) (*perspectron.RawScorer, error) {
 // reports false when scoring panicked; the item is still logged (mode
 // "error") so the verdict accounting stays exact.
 //
-// With tracing on (the default) the verdict record additionally carries its
-// trace ID and the queue/batch/score stage breakdown, the four
-// perspectron_serve_stage_seconds histograms are fed, and a verdict past
-// SlowSample emits an exemplar event into the telemetry trace stream. With
-// attribution on, flagged samples (and every AttrBenignEvery-th benign one)
-// get their fired slots and top-k weight×bit contributions stamped and are
-// pushed into the flight recorder. Both features cost nothing when disabled
-// (pinned by BenchmarkServeForensicsOverhead).
+// With forensics on (the default) the verdict record additionally carries
+// its trace ID and the queue/batch/score stage breakdown, the four
+// perspectron_serve_stage_seconds histograms are fed, a verdict past
+// slowVerdict emits an exemplar event into the telemetry trace stream, and
+// a flagged sample gets its fired slots and top-k weight×bit contributions
+// stamped and is pushed into the flight recorder.
+// BenchmarkServeForensicsOverhead measures both settings.
 func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, loadMode perspectron.ServeMode) (ok bool) {
 	ok = true
-	tracing := !s.cfg.DisableTracing
+	forensics := !s.cfg.DisableForensics
 	var scoreStart time.Time
-	if tracing {
+	if forensics {
 		scoreStart = time.Now()
 	}
 	mdl := s.models.Load() // pinned: the verdict is attributed to this version
@@ -373,7 +371,7 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 		reg := telemetry.Get()
 		var queueWait, batchWait, scoreDur time.Duration
 		var logStart time.Time
-		if tracing {
+		if forensics {
 			logStart = time.Now()
 			queueWait = it.dequeuedAt.Sub(it.enqueuedAt)
 			batchWait = scoreStart.Sub(it.dequeuedAt)
@@ -388,20 +386,20 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 		s.log.record(rec)
 		s.observe(rec)
 		if rec.Attr != nil {
-			s.flight.push(rec)
+			s.flight.Push(rec)
 		}
 		s.slo.observe(total, false)
 		sh.scored.Add(1)
 		reg.Histogram("perspectron_serve_verdict_latency_seconds", latencyBounds).
 			Observe(total.Seconds())
 		reg.Counter(telemetry.Name("perspectron_serve_verdicts_total", "mode", rec.Mode)).Inc()
-		if tracing {
+		if forensics {
 			logDur := time.Since(logStart)
 			reg.Histogram(stageQueue, telemetry.LatencyBuckets).Observe(queueWait.Seconds())
 			reg.Histogram(stageBatch, telemetry.LatencyBuckets).Observe(batchWait.Seconds())
 			reg.Histogram(stageScore, telemetry.LatencyBuckets).Observe(scoreDur.Seconds())
 			reg.Histogram(stageLog, telemetry.LatencyBuckets).Observe(logDur.Seconds())
-			if s.cfg.SlowSample > 0 && total >= s.cfg.SlowSample {
+			if total >= slowVerdict {
 				reg.Counter("perspectron_serve_slow_verdicts_total").Inc()
 				reg.Event("serve.slow_verdict", map[string]any{
 					"trace":    rec.Trace,
@@ -442,19 +440,11 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 	if flagged {
 		telemetry.Get().Counter(telemetry.Name("perspectron_serve_flagged_total", "worker", it.w.name)).Inc()
 	}
-	if k := s.cfg.AttributionK; k > 0 && mdl.Det != nil {
-		// Attribute flagged verdicts always, benign ones on the shard's
-		// round-robin tick. Classify scratches a separate bit vector, so the
-		// detector's fired set is still intact here.
-		attributed := flagged
-		if !attributed && s.cfg.AttrBenignEvery > 0 &&
-			sh.attrTick.Add(1)%uint64(s.cfg.AttrBenignEvery) == 0 {
-			attributed = true
-		}
-		if attributed {
-			if fired, attr, aerr := scorer.Attribution(k); aerr == nil {
-				rec.Fired, rec.Attr = fired, attr
-			}
+	if forensics && flagged && mdl.Det != nil {
+		// Classify scratches a separate bit vector, so the detector's fired
+		// set is still intact here.
+		if fired, attr, aerr := scorer.Attribution(attrTopK); aerr == nil {
+			rec.Fired, rec.Attr = fired, attr
 		}
 	}
 	rec.Mode = mode.String()

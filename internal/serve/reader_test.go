@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"perspectron"
 	"perspectron/internal/telemetry"
 )
 
@@ -107,4 +110,79 @@ func TestReadVerdictLogOffsetResume(t *testing.T) {
 	if want := next + int64(len(partial)+len(rest)); next2 != want {
 		t.Fatalf("final offset = %d, want %d", next2, want)
 	}
+}
+
+// FuzzVerdictScanner holds the scanner to its tailing contract on arbitrary
+// bytes: it never panics, it consumes exactly the complete lines (the rest
+// is at most one partial line), every non-blank complete line is either a
+// record or a counted corrupt line, and every record it returns re-encodes
+// to a line it scans back as one record.
+func FuzzVerdictScanner(f *testing.F) {
+	var logged bytes.Buffer
+	vl := NewVerdictLog(&logged)
+	vl.record(VerdictRecord{
+		Worker: "spectreV1", Episode: 1, Sample: 7, Mode: "detector", Version: "abc123",
+		Score: 0.625, Flagged: true, Coverage: 1, Shard: 1, LatencyMs: 0.25,
+		Trace: "spectreV1/1/7", QueueMs: 0.125, BatchMs: 0.0625, ScoreMs: 0.03125,
+		Fired: []int{2, 5, 11},
+		Attr:  []perspectron.Contribution{{Slot: 5, Feature: "dcache.misses", Weight: 0.5, Share: 0.25}},
+	})
+	if err := vl.flush(); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		logged.String(),
+		logged.String() + "this is not json\n" + logged.String(),
+		logged.String() + logged.String()[:logged.Len()/2], // torn last line
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := NewVerdictScanner(bytes.NewReader(data))
+		var recs []VerdictRecord
+		for {
+			rec, ok := sc.Next()
+			if !ok {
+				break
+			}
+			recs = append(recs, rec)
+		}
+		if sc.Err() != nil {
+			t.Fatalf("in-memory read failed: %v", sc.Err())
+		}
+		c := sc.Consumed()
+		if c < 0 || c > int64(len(data)) || (c > 0 && data[c-1] != '\n') {
+			t.Fatalf("consumed %d of %d bytes, not a line boundary", c, len(data))
+		}
+		if bytes.IndexByte(data[c:], '\n') >= 0 {
+			t.Fatalf("a complete line was left unconsumed after offset %d", c)
+		}
+		lines := 0
+		for _, line := range bytes.Split(data[:c], []byte("\n")) {
+			if len(bytes.TrimSpace(line)) > 0 {
+				lines++
+			}
+		}
+		if len(recs)+sc.Corrupt() != lines {
+			t.Fatalf("%d records + %d corrupt != %d non-blank lines", len(recs), sc.Corrupt(), lines)
+		}
+		for _, rec := range recs {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatalf("re-encoding %+v: %v", rec, err)
+			}
+			again := NewVerdictScanner(bytes.NewReader(append(line, '\n')))
+			back, ok := again.Next()
+			if !ok || again.Corrupt() != 0 {
+				t.Fatalf("re-encoded record %s did not scan back (corrupt %d)", line, again.Corrupt())
+			}
+			if _, more := again.Next(); more {
+				t.Fatalf("re-encoded record %s scanned as more than one", line)
+			}
+			if line2, _ := json.Marshal(back); !bytes.Equal(line, line2) {
+				t.Fatalf("re-encoding not stable: %s then %s", line, line2)
+			}
+		}
+	})
 }

@@ -117,36 +117,35 @@ type Config struct {
 	// machine — the degradation ladder's test harness.
 	Faults *perspectron.FaultConfig
 
-	// DisableTracing turns off per-sample trace IDs, stage timestamps and
-	// the stage-latency histograms — the zero-overhead escape hatch pinned
-	// by BenchmarkServeForensicsOverhead. Tracing is on by default.
-	DisableTracing bool
-	// AttributionK is how many top weight×bit contributions are stamped
-	// into attributed verdict records (default 5; negative disables
-	// attribution entirely).
-	AttributionK int
-	// AttrBenignEvery additionally attributes every Nth non-flagged verdict
-	// per shard, so the flight recorder shows what "normal" looks like too
-	// (0 disables benign sampling; flagged samples are always attributed
-	// while AttributionK is enabled).
-	AttrBenignEvery int
-	// FlightSize is the flight recorder's capacity — the last N attributed
-	// verdicts served at /debug/verdicts (default 256; negative disables).
-	FlightSize int
-	// SlowSample is the total-latency mark past which a verdict emits a
-	// slow-sample exemplar event into the telemetry trace stream (default
-	// 250ms; negative disables).
-	SlowSample time.Duration
-	// SLOLatencyTarget is the per-verdict latency objective driving the
-	// latency burn-rate gauge (default 50ms; negative disables SLO
-	// tracking). SLOLatencyBudget and SLOShedBudget are the tolerated
-	// fractions of slow verdicts and shed samples (default 0.01 each);
-	// SLOAlpha the burn EWMAs' smoothing factor (default 0.02).
-	SLOLatencyTarget time.Duration
-	SLOLatencyBudget float64
-	SLOShedBudget    float64
-	SLOAlpha         float64
+	// DisableForensics turns verdict forensics off as a whole: per-sample
+	// trace IDs and stage timings, the stage-latency histograms, top-k
+	// attribution of flagged verdicts, the /debug/verdicts flight recorder,
+	// slow-verdict exemplars and SLO burn-rate tracking. Forensics is on by
+	// default; the off arm of BenchmarkServeForensicsOverhead measures what
+	// it costs.
+	DisableForensics bool
 }
+
+// Verdict-forensics settings, fixed for every supervisor with forensics on.
+const (
+	// attrTopK is how many top weight×bit contributions a flagged verdict's
+	// record carries.
+	attrTopK = 5
+	// flightSize is the flight recorder's capacity: the last N attributed
+	// verdicts served at /debug/verdicts.
+	flightSize = 256
+	// slowVerdict is the total-latency mark past which a verdict emits a
+	// slow-verdict exemplar event into the telemetry trace stream.
+	slowVerdict = 250 * time.Millisecond
+	// sloLatencyTarget is the per-verdict latency objective driving the
+	// latency burn-rate gauge; sloLatencyBudget and sloShedBudget are the
+	// tolerated fractions of slow verdicts and shed samples, and sloAlpha
+	// the burn EWMAs' smoothing factor.
+	sloLatencyTarget = 50 * time.Millisecond
+	sloLatencyBudget = 0.01
+	sloShedBudget    = 0.01
+	sloAlpha         = 0.02
+)
 
 // verdictLogWriter is the internal log type behind Config.VerdictLog.
 type verdictLogWriter = verdictLog
@@ -213,41 +212,6 @@ func (c *Config) withDefaults() Config {
 	if out.Pace <= 0 {
 		out.Pace = time.Millisecond
 	}
-	// Forensics knobs share the zero-value convention: 0 picks the default,
-	// negative disables. Normalize the disabled forms here so the hot path
-	// only ever compares against 0.
-	if out.AttributionK == 0 {
-		out.AttributionK = 5
-	} else if out.AttributionK < 0 {
-		out.AttributionK = 0
-	}
-	if out.AttrBenignEvery < 0 {
-		out.AttrBenignEvery = 0
-	}
-	if out.FlightSize == 0 {
-		out.FlightSize = 256
-	} else if out.FlightSize < 0 {
-		out.FlightSize = 0
-	}
-	if out.SlowSample == 0 {
-		out.SlowSample = 250 * time.Millisecond
-	} else if out.SlowSample < 0 {
-		out.SlowSample = 0
-	}
-	if out.SLOLatencyTarget == 0 {
-		out.SLOLatencyTarget = 50 * time.Millisecond
-	} else if out.SLOLatencyTarget < 0 {
-		out.SLOLatencyTarget = 0
-	}
-	if out.SLOLatencyBudget <= 0 {
-		out.SLOLatencyBudget = 0.01
-	}
-	if out.SLOShedBudget <= 0 {
-		out.SLOShedBudget = 0.01
-	}
-	if out.SLOAlpha <= 0 || out.SLOAlpha > 1 {
-		out.SLOAlpha = 0.02
-	}
 	return out
 }
 
@@ -282,8 +246,11 @@ type Supervisor struct {
 	// finish draining their queues and stop. Created by Run.
 	produceDone chan struct{}
 
-	flight *flightRecorder // last N attributed verdicts (/debug/verdicts)
-	slo    *sloTracker     // burn-rate state surfaced on /healthz
+	// flight holds the last attributed verdicts (/debug/verdicts) and slo
+	// the burn-rate state surfaced on /healthz; both are nil with forensics
+	// off.
+	flight *telemetry.Ring
+	slo    *sloTracker
 
 	// report and base are the crash-safe file mode's recovery outcome and
 	// cumulative ledger baseline (nil report = durability off).
@@ -364,10 +331,12 @@ func New(cfg Config) (*Supervisor, error) {
 	s := &Supervisor{
 		cfg:     cfg,
 		log:     vlog,
-		flight:  newFlightRecorder(cfg.FlightSize),
-		slo:     newSLOTracker(cfg),
 		report:  report,
 		started: time.Now(),
+	}
+	if !cfg.DisableForensics {
+		s.flight = telemetry.NewRing(flightSize)
+		s.slo = &sloTracker{}
 	}
 	if report != nil {
 		s.base = report.State

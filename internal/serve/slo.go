@@ -16,32 +16,15 @@ import (
 	"perspectron/internal/telemetry"
 )
 
-// sloTracker accumulates the burn state. The nil tracker (SLO disabled)
-// absorbs all operations, mirroring the telemetry instruments.
+// sloTracker accumulates the burn state against the sloLatencyTarget,
+// sloLatencyBudget, sloShedBudget and sloAlpha constants. The nil tracker
+// (forensics off) absorbs all operations, mirroring the telemetry
+// instruments.
 type sloTracker struct {
-	latencyTarget time.Duration
-	latencyBudget float64 // tolerated slow-verdict fraction
-	shedBudget    float64 // tolerated shed fraction
-	alpha         float64 // EWMA smoothing per observation
-
 	mu       sync.Mutex
 	slowEwma float64 // smoothed fraction of verdicts past the target
 	shedEwma float64 // smoothed fraction of samples shed
 	n        int64
-}
-
-// newSLOTracker builds the tracker from an already-defaulted Config; a
-// non-positive latency target disables SLO tracking entirely.
-func newSLOTracker(cfg Config) *sloTracker {
-	if cfg.SLOLatencyTarget <= 0 {
-		return nil
-	}
-	return &sloTracker{
-		latencyTarget: cfg.SLOLatencyTarget,
-		latencyBudget: cfg.SLOLatencyBudget,
-		shedBudget:    cfg.SLOShedBudget,
-		alpha:         cfg.SLOAlpha,
-	}
 }
 
 // observe folds one sample outcome into the burn state: its enqueue→verdict
@@ -54,15 +37,15 @@ func (t *sloTracker) observe(latency time.Duration, shed bool) {
 	slow, shedV := 0.0, 0.0
 	if shed {
 		shedV = 1
-	} else if latency > t.latencyTarget {
+	} else if latency > sloLatencyTarget {
 		slow = 1
 	}
 	t.mu.Lock()
-	t.slowEwma += t.alpha * (slow - t.slowEwma)
-	t.shedEwma += t.alpha * (shedV - t.shedEwma)
+	t.slowEwma += sloAlpha * (slow - t.slowEwma)
+	t.shedEwma += sloAlpha * (shedV - t.shedEwma)
 	t.n++
-	latencyBurn := t.slowEwma / t.latencyBudget
-	shedBurn := t.shedEwma / t.shedBudget
+	latencyBurn := t.slowEwma / sloLatencyBudget
+	shedBurn := t.shedEwma / sloShedBudget
 	t.mu.Unlock()
 	reg := telemetry.Get()
 	reg.Gauge("perspectron_serve_slo_latency_burn").Set(latencyBurn)
@@ -98,13 +81,13 @@ func (t *sloTracker) snapshot() *SLOHealth {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h := &SLOHealth{
-		LatencyTargetMs: float64(t.latencyTarget) / float64(time.Millisecond),
-		LatencyBudget:   t.latencyBudget,
+		LatencyTargetMs: float64(sloLatencyTarget) / float64(time.Millisecond),
+		LatencyBudget:   sloLatencyBudget,
 		SlowFraction:    t.slowEwma,
-		LatencyBurn:     t.slowEwma / t.latencyBudget,
-		ShedBudget:      t.shedBudget,
+		LatencyBurn:     t.slowEwma / sloLatencyBudget,
+		ShedBudget:      sloShedBudget,
 		ShedFraction:    t.shedEwma,
-		ShedBurn:        t.shedEwma / t.shedBudget,
+		ShedBurn:        t.shedEwma / sloShedBudget,
 		Samples:         t.n,
 	}
 	h.Breach = h.LatencyBurn > 1 || h.ShedBurn > 1

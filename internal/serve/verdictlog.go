@@ -57,8 +57,7 @@ type VerdictRecord struct {
 	// to re-derive Score and Attr offline, bit-for-bit.
 	Fired []int `json:"fired,omitempty"`
 	// Attr holds the top-k weight×bit contributions (largest |weight|
-	// first), stamped for flagged samples and a configured fraction of
-	// benign ones.
+	// first), stamped for flagged samples while forensics is on.
 	Attr []perspectron.Contribution `json:"attr,omitempty"`
 
 	// Session and Lost appear on mode "recovery" stamps only: Session is the

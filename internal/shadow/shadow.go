@@ -92,7 +92,7 @@ type Round struct {
 	Round int
 	// VerdictsSeen / CorruptLines account for this round's verdict-log tail;
 	// Attributed counts the tailed records that carried a feature-attribution
-	// block (the serving layer stamps flagged verdicts, plus a benign sample).
+	// block (the serving layer stamps flagged verdicts).
 	VerdictsSeen int
 	CorruptLines int
 	Attributed   int

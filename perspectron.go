@@ -407,7 +407,7 @@ func (d *Detector) monitor(ctx context.Context, w Workload, maxInsts uint64, see
 	}
 	sampleCtr := reg.Counter("perspectron_monitor_samples_total")
 	flaggedCtr := reg.Counter("perspectron_monitor_flagged_total")
-	_, span := reg.StartSpan(context.Background(), "monitor")
+	_, span := reg.StartSpan(ctx, "monitor")
 
 	for {
 		rs, ok := sess.NextRaw(ctx)

@@ -24,9 +24,9 @@ go build -o "$BIN" ./cmd/perspectron
 echo "== train a seed detector =="
 "$BIN" train -insts 50000 -runs 1 -cachedir "$CACHEDIR" -out "$DET"
 
-echo "== bounded serve with attribution on (defaults + benign sampling) =="
+echo "== bounded serve with forensics on (the default) =="
 "$BIN" serve -in "$DET" -workloads spectreV1,bzip2 -insts 40000 -episodes 1 \
-    -attr-benign-every 2 -verdicts "$VERDICTS" 2>"$LOG" \
+    -verdicts "$VERDICTS" 2>"$LOG" \
   || fail "serve exited non-zero"
 grep -q 'all workers completed' "$LOG" || fail "serve did not complete its bounded episodes"
 test -s "$VERDICTS" || fail "verdict log empty"

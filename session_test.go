@@ -1,10 +1,14 @@
 package perspectron
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"perspectron/internal/telemetry"
 )
 
 func TestSessionStreamsVerdicts(t *testing.T) {
@@ -179,6 +183,26 @@ func TestMonitorCtxCancelled(t *testing.T) {
 	}
 	if _, err := sharedClassifier(t).ClassifyCtx(ctx, AttackByName("flush+reload", ""), 40_000, 5); err == nil {
 		t.Fatalf("cancelled ClassifyCtx returned no error")
+	}
+}
+
+// TestMonitorCtxNestsSpan checks that MonitorCtx's phase span nests under
+// the caller's span instead of rooting its own path.
+func TestMonitorCtxNestsSpan(t *testing.T) {
+	det := sharedDetector(t)
+	reg := telemetry.Enable()
+	defer telemetry.Disable()
+	ctx, outer := telemetry.StartSpan(context.Background(), "outer")
+	if _, err := det.MonitorCtx(ctx, AttackByName("spectreV1", "fr"), 20_000, 5); err != nil {
+		t.Fatal(err)
+	}
+	outer.End()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `perspectron_phase_seconds_count{phase="outer/monitor"}`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition lacks %s", want)
 	}
 }
 
