@@ -9,7 +9,7 @@ BENCH ?= .
 # (single-iteration numbers are noise).
 HOTPATH_BENCHTIME ?= 5x
 
-.PHONY: ci vet build test race bench bench-hotpath bench-select smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
+.PHONY: ci vet build test race bench bench-hotpath bench-select bench-sim smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
 
 # ci is the gate for every PR: static analysis, a full build, and the test
 # suite under the race detector (trace.Collect, feature selection and the
@@ -79,6 +79,16 @@ bench-select:
 	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' ./internal/features | \
 		$(GO) run ./cmd/benchjson -min-iters 5 \
 		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense' -out /dev/null
+
+# bench-sim is the simulator hot-path guard (CI-gated): run the paired
+# snoop-filter and IQ-count benchmarks fresh and fail unless the open-addressed
+# filter beats the map oracle and the running IQ count beats the window scan
+# (both oracles live in the packages' _test.go files), or if any arm ran fewer
+# than 5 iterations. The report itself is discarded.
+bench-sim:
+	$(GO) test -bench '^Benchmark(SnoopFilter|IQCount)$$' -benchmem -benchtime 5x -run '^$$' ./internal/cache ./internal/pipeline | \
+		$(GO) run ./cmd/benchjson -min-iters 5 \
+		-require-faster 'BenchmarkSnoopFilter/open<BenchmarkSnoopFilter/map,BenchmarkIQCount/count<BenchmarkIQCount/scan' -out /dev/null
 
 # smoke-shadow runs a miniature continual-learning loop end to end under the
 # race detector: train a seed model, serve it, shadow-retrain and promote

@@ -23,6 +23,7 @@ import (
 	"perspectron/internal/stats"
 	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
+	"perspectron/internal/workload"
 	"perspectron/internal/workload/attacks"
 	"perspectron/internal/workload/benign"
 )
@@ -145,11 +146,29 @@ func BenchmarkSimulatorBenign(b *testing.B) {
 
 func BenchmarkSimulatorAttack(b *testing.B) {
 	prog := attacks.SpectreV1("fr")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := sim.NewMachine(sim.DefaultConfig())
 		m.Run(prog.Stream(rand.New(rand.NewSource(1))), 100_000, 10_000)
 	}
 	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds(), "insts/s")
+}
+
+// BenchmarkSimulatorServeMix runs one episode pair of perfbench's serve
+// streams per iteration: bzip2 and spectreV1 over flush+reload, each 100K
+// instructions on a fresh default machine sampled every 10K, as a serve
+// producer simulates them. Seeds vary with the iteration.
+func BenchmarkSimulatorServeMix(b *testing.B) {
+	progs := []workload.Program{benign.Bzip2(), attacks.SpectreV1("fr")}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			m := sim.NewMachine(sim.DefaultConfig())
+			m.RunStream(prog.Stream(rand.New(rand.NewSource(int64(i)*101))), 100_000, 10_000,
+				func(int, []float64) bool { return true })
+		}
+	}
+	b.ReportMetric(float64(len(progs)*100_000*b.N)/b.Elapsed().Seconds(), "insts/s")
 }
 
 func BenchmarkPerceptronInference(b *testing.B) {

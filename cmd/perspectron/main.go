@@ -510,6 +510,7 @@ func cmdServe(args []string) {
 		LoadCritical:   *loadCritical,
 
 		DisableForensics: *noForensics,
+		DisableLastGood:  *noLastGood,
 	}
 	if *dropout > 0 || *stuck0 > 0 || *stuckMax > 0 {
 		cfg.Faults = &perspectron.FaultConfig{
@@ -530,7 +531,6 @@ func cmdServe(args []string) {
 		cfg.VerdictLogPath = *verdicts
 		cfg.StatePath = *statePath
 		cfg.LogFlushInterval = *logFlush
-		cfg.DisableLastGood = *noLastGood
 	}
 
 	sup, err := serve.New(cfg)
@@ -592,7 +592,7 @@ func cmdServe(args []string) {
 			trainer.Run(ctx)
 		}()
 		fmt.Fprintf(os.Stderr, "serve: shadow trainer every %s (budget %d epochs/round)\n",
-			*shadowInterval, *shadowBudget)
+			*shadowInterval, trainer.Budget())
 	}
 
 	err = sup.Run(ctx)

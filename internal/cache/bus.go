@@ -1,6 +1,10 @@
 package cache
 
-import "perspectron/internal/stats"
+import (
+	"math/bits"
+
+	"perspectron/internal/stats"
+)
 
 // TransType enumerates the coherent bus transaction types whose distribution
 // gem5 reports as <bus>.trans_dist::<type>. The paper's feature analysis
@@ -59,8 +63,72 @@ type Bus struct {
 
 	PktSizeDist []*stats.Counter
 
-	snoopSet map[uint64]struct{}
+	snoop    snoopFilter
 	lineMask uint64
+}
+
+// snoopCapacity bounds the snoop filter: the insert that takes it past this
+// many tracked lines empties it, that line included.
+const snoopCapacity = 1 << 16
+
+// snoopFilter is the set of lines that have crossed a bus: an open-addressed
+// hash set with linear probing over masked line addresses. A slot holds
+// line|1, so 0 marks an empty slot (line addresses have their low bits
+// clear). The table starts small and doubles past half full, so a bus that
+// sees few lines stays small.
+type snoopFilter struct {
+	slots []uint64
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// snoopMinSlots is the table size the filter starts at on its first insert.
+const snoopMinSlots = 1024
+
+// insert reports whether line was already tracked, adding it if not. The
+// insert that takes the filter past snoopCapacity lines empties it.
+func (f *snoopFilter) insert(line uint64) bool {
+	if f.slots == nil {
+		f.grow(snoopMinSlots)
+	}
+	key := line | 1
+	mask := uint64(len(f.slots) - 1)
+	i := (key * 0x9e3779b97f4a7c15) >> f.shift
+	for {
+		switch f.slots[i] {
+		case key:
+			return true
+		case 0:
+			f.slots[i] = key
+			f.n++
+			if f.n > snoopCapacity {
+				clear(f.slots)
+				f.n = 0
+			} else if 2*f.n > len(f.slots) {
+				f.grow(2 * len(f.slots))
+			}
+			return false
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// grow rehashes the filter into a table of size slots (a power of two).
+func (f *snoopFilter) grow(size int) {
+	old := f.slots
+	f.slots = make([]uint64, size)
+	f.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for _, key := range old {
+		if key == 0 {
+			continue
+		}
+		i := (key * 0x9e3779b97f4a7c15) >> f.shift
+		for f.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		f.slots[i] = key
+	}
 }
 
 // NewBus creates a bus named name (e.g. "tol2bus", "membus") with the given
@@ -69,7 +137,6 @@ func NewBus(name string, latency uint64, lineBytes int, reg *stats.Registry) *Bu
 	b := &Bus{
 		Name:     name,
 		latency:  latency,
-		snoopSet: make(map[uint64]struct{}),
 		lineMask: ^uint64(lineBytes - 1),
 	}
 	for t := TransType(0); t < NumTransTypes; t++ {
@@ -118,16 +185,9 @@ func (b *Bus) record(t TransType, addr uint64, bytes int) {
 	// Snoop filter: track which lines have crossed this bus; repeat
 	// requests for tracked lines hit in the filter.
 	b.SnoopRequests.Inc()
-	ln := addr & b.lineMask
-	if _, ok := b.snoopSet[ln]; ok {
+	if b.snoop.insert(addr & b.lineMask) {
 		b.SnoopHits.Inc()
 		b.SnoopTraffic.Add(float64(bytes))
-	} else {
-		b.snoopSet[ln] = struct{}{}
-		// Bound memory: the snoop filter is a finite structure.
-		if len(b.snoopSet) > 1<<16 {
-			b.snoopSet = make(map[uint64]struct{})
-		}
 	}
 }
 

@@ -167,33 +167,37 @@ func DefaultClass(k Kind) OpClass {
 	}
 }
 
-// Stream is a pull-based op source. Next returns the next committed-path op;
-// ok is false when the program ends.
+// Stream is a pull-based op source. Next returns the next committed-path op,
+// or nil when the program ends. The op stays valid, and may be modified in
+// place by the consumer, until the following call to Next; a consumer that
+// keeps an op longer copies it.
 type Stream interface {
-	Next() (op Op, ok bool)
+	Next() *Op
 }
 
-// SliceStream adapts a fixed op slice into a Stream.
+// SliceStream adapts a fixed op slice into a Stream. Next hands out a copy
+// of each op, so a consumer that modifies it leaves the slice untouched.
 type SliceStream struct {
 	ops []Op
 	i   int
+	cur Op
 }
 
 // NewSliceStream returns a Stream over ops.
 func NewSliceStream(ops []Op) *SliceStream { return &SliceStream{ops: ops} }
 
 // Next implements Stream.
-func (s *SliceStream) Next() (Op, bool) {
+func (s *SliceStream) Next() *Op {
 	if s.i >= len(s.ops) {
-		return Op{}, false
+		return nil
 	}
-	op := s.ops[s.i]
+	s.cur = s.ops[s.i]
 	s.i++
-	return op, true
+	return &s.cur
 }
 
 // FuncStream adapts a generator function into a Stream.
-type FuncStream func() (Op, bool)
+type FuncStream func() *Op
 
 // Next implements Stream.
-func (f FuncStream) Next() (Op, bool) { return f() }
+func (f FuncStream) Next() *Op { return f() }

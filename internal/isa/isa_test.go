@@ -68,31 +68,39 @@ func TestDefaultClass(t *testing.T) {
 }
 
 func TestSliceStream(t *testing.T) {
-	s := NewSliceStream([]Op{{PC: 1}, {PC: 2}})
-	op, ok := s.Next()
-	if !ok || op.PC != 1 {
+	ops := []Op{{PC: 1}, {PC: 2}}
+	s := NewSliceStream(ops)
+	op := s.Next()
+	if op == nil || op.PC != 1 {
 		t.Fatalf("first op wrong")
 	}
-	op, ok = s.Next()
-	if !ok || op.PC != 2 {
+	op.Class = IntAlu // a consumer may modify the op in place
+	op = s.Next()
+	if op == nil || op.PC != 2 {
 		t.Fatalf("second op wrong")
 	}
-	if _, ok := s.Next(); ok {
+	if s.Next() != nil {
 		t.Fatalf("stream did not end")
+	}
+	if ops[0].Class != NoOpClass {
+		t.Fatalf("modifying a handed-out op changed the source slice")
 	}
 }
 
 func TestFuncStream(t *testing.T) {
 	n := 0
-	s := FuncStream(func() (Op, bool) {
+	s := FuncStream(func() *Op {
 		n++
-		return Op{PC: uint64(n)}, n <= 2
+		if n > 2 {
+			return nil
+		}
+		return &Op{PC: uint64(n)}
 	})
-	if op, ok := s.Next(); !ok || op.PC != 1 {
+	if op := s.Next(); op == nil || op.PC != 1 {
 		t.Fatalf("func stream first op wrong")
 	}
 	s.Next()
-	if _, ok := s.Next(); ok {
+	if s.Next() != nil {
 		t.Fatalf("func stream did not end")
 	}
 }

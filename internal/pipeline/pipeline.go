@@ -149,6 +149,11 @@ type Pipeline struct {
 	head   int
 	lq, sq int
 
+	// pending counts dispatched ops by completion cycle: the IQ occupancy.
+	pending iqCount
+	// iqProbe, set only by tests, observes every IQ occupancy read.
+	iqProbe func(inIQ int)
+
 	fu [6][]uint64 // next-free cycle per FU
 
 	prevDone      uint64
@@ -168,6 +173,10 @@ type Pipeline struct {
 // ITB, DTB before Run.
 func New(cfg Config, c Counters) *Pipeline {
 	p := &Pipeline{cfg: cfg, C: c, lastFetchLine: ^uint64(0), lastFetchPage: ^uint64(0)}
+	p.window = make([]inflight, 0, 2*cfg.ROBEntries+2)
+	p.recentLoads = make([]memRef, 0, maxMemRefs)
+	p.recentStores = make([]memRef, 0, maxMemRefs)
+	p.pendingStores = make([]memRef, 0, maxMemRefs)
 	for i := range p.fu {
 		p.fu[i] = make([]uint64, fuPoolSizes[i])
 	}
@@ -188,17 +197,17 @@ func (p *Pipeline) Committed() uint64 { return p.committed }
 
 // Run executes the stream until it ends or maxInsts committed-path
 // instructions have been fetched (all fetched instructions then drain and
-// commit).
+// commit). Each op is stepped in place through the pointer Next returns.
 func (p *Pipeline) Run(stream isa.Stream, maxInsts uint64) uint64 {
 	start := p.committed
 	var fetched uint64
 	for maxInsts == 0 || fetched < maxInsts {
-		op, ok := stream.Next()
-		if !ok {
+		op := stream.Next()
+		if op == nil {
 			break
 		}
 		fetched++
-		p.Step(&op)
+		p.Step(op)
 	}
 	p.drain()
 	return p.committed - start
@@ -371,13 +380,7 @@ func (p *Pipeline) rename(op *isa.Op) {
 		p.retireForSpace()
 	}
 	if p.windowLen() >= 64 { // IQ capacity model
-		inIQ := 0
-		for i := p.head; i < len(p.window); i++ {
-			if p.window[i].done > p.cycle {
-				inIQ++
-			}
-		}
-		if inIQ >= 64 {
+		if p.inIQ() >= 64 {
 			rc.IQFullEvents.Inc()
 			p.C.IQ.FullEvents.Inc()
 			p.retireForSpace()
@@ -581,25 +584,30 @@ func (p *Pipeline) checkViolation(line uint64) {
 	p.C.MemDep.DepsPredicted.Inc()
 }
 
-func (p *Pipeline) recordLoad(line, done uint64) {
-	p.recentLoads = append(p.recentLoads, memRef{line, done})
-	if len(p.recentLoads) > 32 {
-		p.recentLoads = p.recentLoads[1:]
+// maxMemRefs bounds the recent-load, recent-store and pending-store lists.
+const maxMemRefs = 32
+
+// pushMemRef appends r to refs, dropping the oldest entry once refs holds
+// maxMemRefs. A full list shifts in place, so the backing array never moves.
+func pushMemRef(refs []memRef, r memRef) []memRef {
+	if len(refs) < maxMemRefs {
+		return append(refs, r)
 	}
+	copy(refs, refs[1:])
+	refs[len(refs)-1] = r
+	return refs
+}
+
+func (p *Pipeline) recordLoad(line, done uint64) {
+	p.recentLoads = pushMemRef(p.recentLoads, memRef{line, done})
 }
 
 func (p *Pipeline) recordStore(line, done uint64) {
-	p.recentStores = append(p.recentStores, memRef{line, done})
-	if len(p.recentStores) > 32 {
-		p.recentStores = p.recentStores[1:]
-	}
+	p.recentStores = pushMemRef(p.recentStores, memRef{line, done})
 }
 
 func (p *Pipeline) recordPendingStore(line, resolveAt uint64) {
-	p.pendingStores = append(p.pendingStores, memRef{line, resolveAt})
-	if len(p.pendingStores) > 32 {
-		p.pendingStores = p.pendingStores[1:]
-	}
+	p.pendingStores = pushMemRef(p.pendingStores, memRef{line, resolveAt})
 }
 
 // bypassesPendingStore reports whether a load to line at cycle ready slips
@@ -740,11 +748,89 @@ func (p *Pipeline) dispatchToWindow(op *isa.Op, done uint64, misp bool) {
 		nonSpec: op.IsSerializing(),
 		misp:    misp,
 	})
+	if done > p.cycle {
+		p.pending.add(done)
+	}
 	p.C.ROB.Writes.Inc()
 }
 
 // windowLen returns current ROB occupancy.
 func (p *Pipeline) windowLen() int { return len(p.window) - p.head }
+
+// inIQ returns the IQ occupancy: the dispatched ops not yet complete at the
+// current cycle. It equals a scan of the window for entries with done >
+// cycle because the clock never moves backwards and every commit happens at
+// done <= cycle: an op done by now stays done, and a retired op was done
+// when it retired.
+func (p *Pipeline) inIQ() int {
+	n := p.pending.at(p.cycle)
+	if p.iqProbe != nil {
+		p.iqProbe(n)
+	}
+	return n
+}
+
+// iqRing is the span of completion cycles iqCount buckets directly; ops due
+// further out wait in a short overflow list.
+const iqRing = 1024
+
+// iqCount counts dispatched ops by completion cycle. Every op done at or
+// before base has been dropped; ring[d%iqRing] counts the ops done at cycle
+// d for base < d <= base+iqRing, and far holds the ops due later still.
+// Advancing base to a new cycle subtracts the buckets it passes, so the
+// running count costs O(1) per op plus O(1) per elapsed cycle.
+type iqCount struct {
+	base   uint64
+	n      int
+	ring   [iqRing]int32
+	far    []uint64
+	farMin uint64
+}
+
+// add tracks an op that completes at done, which must be after base.
+func (q *iqCount) add(done uint64) {
+	q.n++
+	if done-q.base <= iqRing {
+		q.ring[done%iqRing]++
+		return
+	}
+	if len(q.far) == 0 || done < q.farMin {
+		q.farMin = done
+	}
+	q.far = append(q.far, done)
+}
+
+// at returns the number of tracked ops that complete after cycle, which
+// must not be before any cycle passed earlier.
+func (q *iqCount) at(cycle uint64) int {
+	if cycle <= q.base {
+		return q.n
+	}
+	steps := min(cycle-q.base, iqRing)
+	for d := q.base + 1; steps > 0; d, steps = d+1, steps-1 {
+		q.n -= int(q.ring[d%iqRing])
+		q.ring[d%iqRing] = 0
+	}
+	q.base = cycle
+	if len(q.far) > 0 && q.farMin <= cycle+iqRing {
+		kept := q.far[:0]
+		for _, d := range q.far {
+			switch {
+			case d <= cycle:
+				q.n--
+			case d-cycle <= iqRing:
+				q.ring[d%iqRing]++
+			default:
+				if len(kept) == 0 || d < q.farMin {
+					q.farMin = d
+				}
+				kept = append(kept, d)
+			}
+		}
+		q.far = kept
+	}
+	return q.n
+}
 
 // retireReady retires all head instructions whose completion time has
 // passed.
@@ -808,8 +894,10 @@ func (p *Pipeline) commitHead() {
 	}
 }
 
+// compact moves the in-flight entries back to the start of the window once
+// more than a ROB's worth of retired entries precede them.
 func (p *Pipeline) compact() {
-	if p.head > 4096 {
+	if p.head > p.cfg.ROBEntries {
 		p.window = append(p.window[:0], p.window[p.head:]...)
 		p.head = 0
 	}
@@ -863,13 +951,7 @@ func (p *Pipeline) histograms() {
 	}
 	p.C.ROB.OccDist[bucket].Inc()
 
-	inIQ := 0
-	for i := p.head; i < len(p.window); i++ {
-		if p.window[i].done > p.cycle {
-			inIQ++
-		}
-	}
-	ib := inIQ * (len(p.C.IQ.OccDist) - 1) / 64
+	ib := p.inIQ() * (len(p.C.IQ.OccDist) - 1) / 64
 	if ib >= len(p.C.IQ.OccDist) {
 		ib = len(p.C.IQ.OccDist) - 1
 	}

@@ -78,9 +78,11 @@ func TestOnCommitCallback(t *testing.T) {
 func TestMaxInstsStopsEarly(t *testing.T) {
 	p, _, _ := newTestPipeline(t)
 	i := 0
-	stream := isa.FuncStream(func() (isa.Op, bool) {
+	var op isa.Op
+	stream := isa.FuncStream(func() *isa.Op {
 		i++
-		return plain(uint64(i) * 4), true
+		op = plain(uint64(i) * 4)
+		return &op
 	})
 	n := p.Run(stream, 50)
 	if n != 50 {

@@ -59,16 +59,18 @@ func fastBackoff() retry.Policy {
 
 // plainStream emits computational ops, ending after limit when > 0.
 type plainStream struct {
+	op    isa.Op
 	n     uint64
 	limit uint64
 }
 
-func (s *plainStream) Next() (isa.Op, bool) {
+func (s *plainStream) Next() *isa.Op {
 	if s.limit > 0 && s.n >= s.limit {
-		return isa.Op{}, false
+		return nil
 	}
 	s.n++
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op
 }
 
 // panicProg panics mid-stream on its first `failures` runs, then behaves —
@@ -88,16 +90,18 @@ func (p *panicProg) Stream(_ *rand.Rand) isa.Stream {
 }
 
 type panicStream struct {
+	op     isa.Op
 	n      uint64
 	panics bool
 }
 
-func (s *panicStream) Next() (isa.Op, bool) {
+func (s *panicStream) Next() *isa.Op {
 	s.n++
 	if s.panics && s.n > 5_000 {
 		panic("workload bug")
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op
 }
 
 // stallProg delivers ops briskly until stallAfter, then crawls (delay per
@@ -119,19 +123,21 @@ func (p *stallProg) Stream(_ *rand.Rand) isa.Stream {
 }
 
 type stallStream struct {
-	p *stallProg
-	n uint64
+	op isa.Op
+	p  *stallProg
+	n  uint64
 }
 
-func (s *stallStream) Next() (isa.Op, bool) {
+func (s *stallStream) Next() *isa.Op {
 	s.n++
 	if s.n > s.p.stallAfter {
 		if s.n > s.p.stallAfter+s.p.stallOps {
-			return isa.Op{}, false
+			return nil
 		}
 		time.Sleep(s.p.delay)
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op
 }
 
 // --- unit tests ----------------------------------------------------------

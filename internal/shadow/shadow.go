@@ -212,6 +212,10 @@ func (t *Trainer) Drift() (drift float64, alarm bool) {
 	return t.drift, t.driftInit && t.drift > t.cfg.DriftThreshold
 }
 
+// Budget returns the incremental epochs each round trains for, after
+// defaults.
+func (t *Trainer) Budget() int { return t.cfg.Budget }
+
 // Run executes rounds every Interval until ctx ends. Round errors are
 // recorded (health surfaces them) and the loop continues — a transient
 // collection failure must not kill the background trainer.

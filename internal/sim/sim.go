@@ -121,9 +121,9 @@ type cutoffStream struct {
 	stop  *bool
 }
 
-func (c *cutoffStream) Next() (isa.Op, bool) {
+func (c *cutoffStream) Next() *isa.Op {
 	if *c.stop {
-		return isa.Op{}, false
+		return nil
 	}
 	return c.inner.Next()
 }

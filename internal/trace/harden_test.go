@@ -16,16 +16,18 @@ import (
 
 // plainStream emits computational ops forever (or up to limit when > 0).
 type plainStream struct {
+	op    isa.Op
 	n     uint64
 	limit uint64
 }
 
-func (s *plainStream) Next() (isa.Op, bool) {
+func (s *plainStream) Next() *isa.Op {
 	if s.limit > 0 && s.n >= s.limit {
-		return isa.Op{}, false
+		return nil
 	}
 	s.n++
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op
 }
 
 // panicProg's streams panic after emitting `after` ops; attempts counts the
@@ -45,16 +47,18 @@ func (p *panicProg) Stream(_ *rand.Rand) isa.Stream {
 }
 
 type panicStream struct {
+	op    isa.Op
 	n     uint64
 	after uint64
 }
 
-func (s *panicStream) Next() (isa.Op, bool) {
+func (s *panicStream) Next() *isa.Op {
 	s.n++
 	if s.n > s.after {
 		panic("workload bug")
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op
 }
 
 func TestCollectRecoversFromPanickingWorkload(t *testing.T) {
@@ -172,21 +176,23 @@ func (p *stallProg) Stream(_ *rand.Rand) isa.Stream {
 }
 
 type stallStream struct {
+	op       isa.Op
 	n        uint64
 	after    uint64
 	delay    time.Duration
 	stallOps uint64
 }
 
-func (s *stallStream) Next() (isa.Op, bool) {
+func (s *stallStream) Next() *isa.Op {
 	s.n++
 	if s.n > s.after {
 		if s.n > s.after+s.stallOps {
-			return isa.Op{}, false
+			return nil
 		}
 		time.Sleep(s.delay)
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op
 }
 
 func TestFilterCarriesDropped(t *testing.T) {

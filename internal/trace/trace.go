@@ -208,14 +208,14 @@ type boundedStream struct {
 }
 
 // Next implements isa.Stream.
-func (s *boundedStream) Next() (isa.Op, bool) {
+func (s *boundedStream) Next() *isa.Op {
 	if s.done {
-		return isa.Op{}, false
+		return nil
 	}
 	s.n++
 	if s.n&1023 == 0 && s.ctx.Err() != nil {
 		s.done = true
-		return isa.Op{}, false
+		return nil
 	}
 	return s.inner.Next()
 }

@@ -12,11 +12,11 @@ func drain(p workload.Program, n int, seed int64) []isa.Op {
 	s := p.Stream(rand.New(rand.NewSource(seed)))
 	var out []isa.Op
 	for i := 0; i < n; i++ {
-		op, ok := s.Next()
-		if !ok {
+		op := s.Next()
+		if op == nil {
 			break
 		}
-		out = append(out, op)
+		out = append(out, *op)
 	}
 	return out
 }

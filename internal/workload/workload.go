@@ -90,8 +90,9 @@ type LoopStream struct {
 	iter IterFunc
 }
 
-// Next implements isa.Stream.
-func (s *LoopStream) Next() (isa.Op, bool) {
+// Next implements isa.Stream. The op points into the iteration queue, which
+// the next iteration overwrites.
+func (s *LoopStream) Next() *isa.Op {
 	b := s.b
 	for b.head >= len(b.queue) {
 		b.queue = b.queue[:0]
@@ -99,13 +100,13 @@ func (s *LoopStream) Next() (isa.Op, bool) {
 		b.iteration++
 		s.iter(b)
 		if len(b.queue) == 0 {
-			return isa.Op{}, false // iteration emitted nothing: end
+			return nil // iteration emitted nothing: end
 		}
 	}
-	op := b.queue[b.head]
+	op := &b.queue[b.head]
 	b.head++
 	b.emitted++
-	return op, true
+	return op
 }
 
 // LeakMarks returns the op indices (0-based positions in the emitted

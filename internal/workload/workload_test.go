@@ -103,7 +103,7 @@ func TestLoopStreamCycles(t *testing.T) {
 	})
 	s := p.Stream(rand.New(rand.NewSource(1)))
 	for i := 0; i < 7; i++ {
-		if _, ok := s.Next(); !ok {
+		if s.Next() == nil {
 			t.Fatalf("stream ended early")
 		}
 	}
@@ -119,8 +119,8 @@ func TestLoopStreamSetupRunsFirst(t *testing.T) {
 		b.Plain(isa.IntAlu)
 	})
 	s := p.Stream(rand.New(rand.NewSource(1)))
-	op, ok := s.Next()
-	if !ok || op.Kind != isa.KindLoad || op.Addr != 0xAAAA {
+	op := s.Next()
+	if op == nil || op.Kind != isa.KindLoad || op.Addr != 0xAAAA {
 		t.Fatalf("setup op not first: %+v", op)
 	}
 }
@@ -128,7 +128,7 @@ func TestLoopStreamSetupRunsFirst(t *testing.T) {
 func TestLoopStreamEmptyIterationEnds(t *testing.T) {
 	p := NewLoop(Info{Name: "t"}, nil, func(b *Builder) {})
 	s := p.Stream(rand.New(rand.NewSource(1)))
-	if _, ok := s.Next(); ok {
+	if s.Next() != nil {
 		t.Fatalf("empty iteration did not end the stream")
 	}
 }
